@@ -4,8 +4,9 @@ The harness is the orchestration layer above :mod:`repro.eval`:
 
 * :mod:`repro.harness.hashing` — stable content fingerprints of configs,
   cases and experiment requests, used as cache keys.
-* :mod:`repro.harness.cache` — a content-addressed on-disk result cache so
-  re-runs and overlapping sweeps are served from disk.
+* :mod:`repro.harness.cache` — a content-addressed result cache (one
+  sharded on-disk store, or ``mem:`` in tests) so re-runs and overlapping
+  sweeps are served from disk.
 * :mod:`repro.harness.artifacts` — JSON round-tripping of every result
   dataclass plus an artifact store for archiving experiment outputs.
 * :mod:`repro.harness.executor` — execution backends: serial in-process
@@ -42,7 +43,6 @@ Typical usage::
 from repro.harness.artifacts import ArtifactStore, decode, encode
 from repro.harness.bench import (
     PerfTrajectory,
-    measure_cache,
     measure_case,
     measure_pool,
     measure_synthetic,
@@ -52,9 +52,7 @@ from repro.harness.cache import (
     CacheStats,
     CacheStore,
     MemoryStore,
-    ResultCache,
     ShardedDiskStore,
-    TieredStore,
     open_store,
 )
 from repro.harness.engine import ExperimentEngine
@@ -118,7 +116,6 @@ __all__ = [
     "ProcessPoolBackend",
     "Progress",
     "ProgressSink",
-    "ResultCache",
     "RunManifest",
     "SerialBackend",
     "ShardedDiskStore",
@@ -126,7 +123,6 @@ __all__ = [
     "SweepError",
     "SweepGrid",
     "TelemetrySink",
-    "TieredStore",
     "TraceSummary",
     "Tracer",
     "UnitFailure",
@@ -139,7 +135,6 @@ __all__ = [
     "encode",
     "experiment_cache_key",
     "grid_cache_key",
-    "measure_cache",
     "measure_case",
     "measure_pool",
     "measure_synthetic",

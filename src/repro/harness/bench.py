@@ -43,7 +43,6 @@ __all__ = [
     "PerfTrajectory",
     "measure_synthetic",
     "measure_case",
-    "measure_cache",
     "measure_pool",
     "run_engine_bench",
 ]
@@ -198,62 +197,6 @@ def measure_pool(max_workers: int = 2,
     }
 
 
-def _percentile(sorted_samples: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample list."""
-    if not sorted_samples:
-        return 0.0
-    rank = min(len(sorted_samples) - 1,
-               max(0, int(round(fraction * (len(sorted_samples) - 1)))))
-    return sorted_samples[rank]
-
-
-def measure_cache(entries: int = 64,
-                  payload_fields: int = 32) -> Dict[str, Any]:
-    """Measure result-cache put/get latency, flat versus sharded backend.
-
-    Writes then reads ``entries`` synthetic documents (a ``payload_fields``
-    -field dict each, roughly the shape of an encoded benchmark run)
-    through both on-disk backends in a temporary directory, and reports
-    p50/p95 latencies per operation.  The comparison seeds the cache rows
-    of the perf trajectory: the sharded backend must stay within noise of
-    the flat one on the hot path while adding eviction and index upkeep.
-    """
-    import hashlib
-    import tempfile
-
-    from repro.harness.cache import ResultCache, ShardedDiskStore
-
-    if entries <= 0:
-        raise EvaluationError("entries must be positive")
-    payload = {f"field{i}": float(i) for i in range(payload_fields)}
-    keys = [hashlib.sha256(f"bench{i}".encode("ascii")).hexdigest()
-            for i in range(entries)]
-    report: Dict[str, Any] = {"entries": entries}
-    with tempfile.TemporaryDirectory(prefix="repro-cache-bench-") as tmp:
-        for name, store in (("flat", ResultCache(Path(tmp) / "flat")),
-                            ("sharded",
-                             ShardedDiskStore(Path(tmp) / "sharded"))):
-            puts: List[float] = []
-            gets: List[float] = []
-            for key in keys:
-                started = time.perf_counter()
-                store.put(key, payload, bench=True)
-                puts.append(time.perf_counter() - started)
-            for key in keys:
-                started = time.perf_counter()
-                store.get(key)
-                gets.append(time.perf_counter() - started)
-            puts.sort()
-            gets.sort()
-            report[name] = {
-                "put_p50_seconds": _percentile(puts, 0.50),
-                "put_p95_seconds": _percentile(puts, 0.95),
-                "get_p50_seconds": _percentile(gets, 0.50),
-                "get_p95_seconds": _percentile(gets, 0.95),
-            }
-    return report
-
-
 def run_engine_bench(num_events: int = 1_000_000,
                      include_case: bool = True,
                      config: Optional[SimConfig] = None,
@@ -263,7 +206,6 @@ def run_engine_bench(num_events: int = 1_000_000,
                      runtimes: Optional[Sequence[str]] = None,
                      include_pool: bool = True,
                      pool_workers: int = 2,
-                     include_cache: bool = True,
                      ) -> Dict[str, Any]:
     """Run the full engine microbenchmark; return one trajectory entry.
 
@@ -271,9 +213,7 @@ def run_engine_bench(num_events: int = 1_000_000,
     wall clock of one real Figure 9 case (when ``include_case``), and the
     worker-pool warm-up versus warm-dispatch overhead (when
     ``include_pool``) — the cost the engine's persistent pool saves per
-    sweep phase — and result-cache put/get p50/p95 latency for the flat
-    versus sharded backends (when ``include_cache``).  Each synthetic
-    measurement is the best of ``repeats``
+    sweep phase.  Each synthetic measurement is the best of ``repeats``
     runs, which suppresses transient host load — the standard way to make
     a throughput microbenchmark reproducible.  Regressions are found by
     comparing against the previous entries of the same trajectory.
@@ -299,8 +239,6 @@ def run_engine_bench(num_events: int = 1_000_000,
                                              runtimes=runtimes)
     if include_pool:
         entry["pool"] = measure_pool(max_workers=pool_workers)
-    if include_cache:
-        entry["cache"] = measure_cache()
     return entry
 
 

@@ -1,60 +1,43 @@
-"""Layered content-addressed result cache.
+"""Content-addressed result cache.
 
-One interface, several backends, one composition point:
+One interface, one disk backend, one composition point:
 
 * :class:`~repro.harness.cache.store.CacheStore` — the abstract contract
   (``get``/``put``/``contains``/``delete``/``entries``/``stats``) the
   engine, sweep runner, memoisation and CLI consume exclusively.
-* :class:`~repro.harness.cache.sharded.ShardedDiskStore` — the default
-  on-disk backend: two-level shard fan-out, lock-free atomic writes,
-  advisory per-shard ``.index`` sidecars, LRU eviction under a budget,
-  and a legacy-layout read fallback plus in-place :meth:`migrate`.
-* :class:`~repro.harness.cache.disk.ResultCache` — the legacy flat
-  backend (``dir:`` scheme), kept byte-for-byte layout compatible.
-* :class:`~repro.harness.cache.memory.MemoryStore` and
-  :class:`~repro.harness.cache.tiered.TieredStore` — the in-process and
-  fleet/CI composition tiers.
-* :func:`~repro.harness.cache.spec.open_store` — spec-string → store
-  (``mem:``, ``dir:``, ``sharded:``, ``tiered:LOCAL|SHARED``, bare
-  path), with ``--cache-budget`` / ``$REPRO_CACHE_BUDGET`` resolution.
+* :class:`~repro.harness.cache.sharded.ShardedDiskStore` — the on-disk
+  backend: two-level shard fan-out, lock-free atomic writes, and LRU
+  eviction (by entry mtime) under an optional byte budget.
+* :class:`~repro.harness.cache.memory.MemoryStore` — the in-process
+  store tests use as a fake.
+* :func:`~repro.harness.cache.spec.open_store` — spec string → store
+  (``mem:`` or a directory path), with ``--cache-budget`` /
+  ``$REPRO_CACHE_BUDGET`` resolution.
 
-Cache *keys* are unchanged by all of this —
-:func:`repro.harness.hashing.stable_hash` digests pin byte-identity, and
-``figure9_fingerprints.json`` gates it in CI.  See ``docs/caching.md``.
+Cache *keys* are :func:`repro.harness.hashing.stable_hash` digests;
+``figure9_fingerprints.json`` pins their byte-identity in CI.  See
+``docs/caching.md``.
 """
 
-from repro.harness.cache.disk import FlatDiskStore, ResultCache
 from repro.harness.cache.locks import FileLock
 from repro.harness.cache.memory import MemoryStore
-from repro.harness.cache.policy import (
-    EvictionPolicy,
-    LruEviction,
-    NoEviction,
-    parse_budget,
-)
 from repro.harness.cache.sharded import ShardedDiskStore
 from repro.harness.cache.spec import (
     CACHE_BUDGET_ENV,
     open_store,
+    parse_budget,
     resolve_budget,
 )
 from repro.harness.cache.stats import CacheStats
 from repro.harness.cache.store import CacheStore
-from repro.harness.cache.tiered import TieredStore
 
 __all__ = [
     "CACHE_BUDGET_ENV",
     "CacheStats",
     "CacheStore",
-    "EvictionPolicy",
     "FileLock",
-    "FlatDiskStore",
-    "LruEviction",
     "MemoryStore",
-    "NoEviction",
-    "ResultCache",
     "ShardedDiskStore",
-    "TieredStore",
     "open_store",
     "parse_budget",
     "resolve_budget",

@@ -1,20 +1,18 @@
-"""The in-memory backend (``mem:`` spec scheme).
+"""The in-memory backend (``mem:`` spec).
 
 A dict with the full :class:`~repro.harness.cache.store.CacheStore`
 surface, including deterministic LRU eviction driven by a logical access
 clock — no wall-clock, no disk, no flakiness — which is what the
-eviction-order unit tests and the local tier of in-process tiered setups
-want.  Nothing survives the process; ``stats_path`` is None so
-``persist_stats`` is a no-op.
+eviction-order unit tests want.  Nothing survives the process;
+``stats_path`` is None so ``persist_stats`` is a no-op.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
-from repro.harness.cache.policy import EvictionPolicy, NoEviction
 from repro.harness.cache.store import MISS, CacheStore
 
 __all__ = ["MemoryStore"]
@@ -23,10 +21,9 @@ __all__ = ["MemoryStore"]
 class MemoryStore(CacheStore):
     """Dict-backed cache store with logical-clock LRU eviction."""
 
-    def __init__(self, tracer=None, policy=None) -> None:
+    def __init__(self, tracer=None, budget: Optional[int] = None) -> None:
         super().__init__(tracer=tracer)
-        self.policy: EvictionPolicy = (policy if policy is not None
-                                       else NoEviction())
+        self.budget = budget
         # key -> (document, size_bytes, logical access time)
         self._entries: Dict[str, Tuple[dict, int, int]] = {}
         self._clock = itertools.count(1)
@@ -46,11 +43,12 @@ class MemoryStore(CacheStore):
             return MISS
 
     def _write(self, key: str, document: dict) -> str:
-        # Size the entry exactly as a disk backend would store it, so a
-        # byte budget means the same thing across backends.
+        # Size the entry exactly as the disk store would, so a byte
+        # budget means the same thing for both stores.
         size = len(json.dumps(document).encode("utf-8"))
         self._entries[key] = (document, size, next(self._clock))
-        self.policy.enforce(self)
+        if self.budget is not None and self.size_bytes() > self.budget:
+            self.evict(self.budget, block=False)
         return key
 
     def contains(self, key: str) -> bool:
@@ -73,9 +71,6 @@ class MemoryStore(CacheStore):
     # ------------------------------------------------------------------ #
     # Eviction
     # ------------------------------------------------------------------ #
-    def _estimated_size(self) -> int:
-        return self.size_bytes()
-
     def evict(self, budget: int, block: bool = True):
         """Drop least-recently-used entries until under ``budget`` bytes."""
         total = self.size_bytes()

@@ -1,55 +1,73 @@
-"""URL-style cache-spec parsing: one string picks the backend stack.
+"""Cache-spec parsing: one string picks the store.
 
 ``open_store`` is the single composition point every consumer goes
 through (engine, CLI, Study API); nothing outside this package names a
 concrete backend class.
 
-Spec grammar (anything without a recognised scheme is a directory path):
+Spec grammar:
 
-========================  ===================================================
-``mem:``                  in-process :class:`MemoryStore` (tests, dry runs)
-``dir:PATH``              legacy flat layout (:class:`ResultCache`)
-``sharded:PATH``          sharded layout (:class:`ShardedDiskStore`)
-``tiered:LOCAL|SHARED``   read-through/write-back :class:`TieredStore`;
-                          each side is itself a spec, ``SHARED`` is
-                          never written
-``PATH``                  default: sharded store at ``PATH`` (reads any
-                          pre-refactor flat entries through the legacy
-                          fallback, so existing caches stay warm)
-========================  ===================================================
+========  ===================================================
+``mem:``  in-process :class:`MemoryStore` (tests, dry runs)
+``PATH``  on-disk :class:`ShardedDiskStore` rooted at ``PATH``
+========  ===================================================
 
-A size budget (``--cache-budget`` / ``$REPRO_CACHE_BUDGET``) attaches an
-LRU eviction policy to the opened store; the legacy ``dir:`` backend has
-no eviction index, so combining it with a budget is an explicit error
-rather than a silently unbounded cache.
+A size budget (``--cache-budget`` / ``$REPRO_CACHE_BUDGET``) bounds the
+opened store with LRU eviction.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from typing import Optional, Union
 
 from repro.common.errors import EvaluationError
-from repro.harness.cache.disk import ResultCache
 from repro.harness.cache.memory import MemoryStore
-from repro.harness.cache.policy import LruEviction, NoEviction, parse_budget
 from repro.harness.cache.sharded import ShardedDiskStore
 from repro.harness.cache.store import CacheStore
-from repro.harness.cache.tiered import TieredStore
 
-__all__ = ["CACHE_BUDGET_ENV", "open_store", "resolve_budget"]
+__all__ = ["CACHE_BUDGET_ENV", "open_store", "parse_budget",
+           "resolve_budget"]
 
 #: Environment fallback for ``--cache-budget``.
 CACHE_BUDGET_ENV = "REPRO_CACHE_BUDGET"
 
-_SCHEMES = ("mem", "dir", "sharded", "tiered")
+#: Spec schemes earlier versions accepted; each now names a bare path.
+_RETIRED_SCHEMES = ("dir:", "sharded:", "tiered:")
+
+_SUFFIXES = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3, "t": 1024 ** 4}
 
 
-def _split_scheme(spec: str):
-    head, sep, rest = spec.partition(":")
-    if sep and head in _SCHEMES:
-        return head, rest
-    return None, spec
+def parse_budget(value: Union[int, str, None]) -> Optional[int]:
+    """A byte budget from an int or a ``512M``-style string.
+
+    Accepts plain byte counts and binary ``K``/``M``/``G``/``T`` suffixes
+    (case-insensitive, optional trailing ``B`` / ``iB``); ``None``, empty
+    and ``"none"`` mean unbounded.
+    """
+    if value is None:
+        return None
+    if isinstance(value, bool):
+        raise EvaluationError(f"invalid cache budget: {value!r}")
+    if isinstance(value, int):
+        budget = value
+    else:
+        text = str(value).strip().lower()
+        if text in ("", "none"):
+            return None
+        match = re.fullmatch(r"(\d+(?:\.\d+)?)\s*([kmgt])?i?b?", text)
+        if match is None:
+            raise EvaluationError(
+                f"invalid cache budget {value!r} "
+                "(expected bytes or a K/M/G/T-suffixed size, e.g. 512M)"
+            )
+        scale = _SUFFIXES.get(match.group(2) or "", 1)
+        budget = int(float(match.group(1)) * scale)
+    if budget <= 0:
+        raise EvaluationError(
+            f"cache budget must be positive, got {value!r}"
+        )
+    return budget
 
 
 def resolve_budget(budget: Union[int, str, None]) -> Optional[int]:
@@ -63,11 +81,11 @@ def open_store(spec, tracer=None,
                budget: Union[int, str, None] = None) -> CacheStore:
     """Open the cache store a spec describes.
 
-    ``spec`` is a spec string, a plain directory path (string or
-    PathLike), or an already-constructed :class:`CacheStore` (passed
-    through, adopting ``tracer`` if it has none — the injection seam
-    tests use).  ``budget`` accepts an int, a ``512M``-style string, or
-    None to consult ``$REPRO_CACHE_BUDGET``.
+    ``spec`` is ``"mem:"``, a directory path (string or PathLike), or an
+    already-constructed :class:`CacheStore` (passed through, adopting
+    ``tracer`` if it has none — the injection seam tests use).
+    ``budget`` accepts an int, a ``512M``-style string, or None to
+    consult ``$REPRO_CACHE_BUDGET``.
     """
     if isinstance(spec, CacheStore):
         if tracer is not None and spec.tracer is None:
@@ -75,42 +93,21 @@ def open_store(spec, tracer=None,
         return spec
 
     budget_bytes = resolve_budget(budget)
-    policy = (LruEviction(budget_bytes) if budget_bytes is not None
-              else NoEviction())
-
     if isinstance(spec, os.PathLike):
-        return ShardedDiskStore(spec, tracer=tracer, policy=policy)
+        return ShardedDiskStore(spec, tracer=tracer, budget=budget_bytes)
     if not isinstance(spec, str):
         raise EvaluationError(f"invalid cache spec: {spec!r}")
-
-    scheme, rest = _split_scheme(spec)
-    if scheme is None:
-        if not rest:
-            raise EvaluationError("empty cache spec")
-        return ShardedDiskStore(rest, tracer=tracer, policy=policy)
-    if scheme == "mem":
-        if rest:
-            raise EvaluationError(
-                f"mem: takes no path, got {spec!r}")
-        return MemoryStore(tracer=tracer, policy=policy)
-    if scheme == "dir":
-        if not rest:
-            raise EvaluationError(f"dir: needs a path, got {spec!r}")
-        if budget_bytes is not None:
-            raise EvaluationError(
-                "the legacy dir: backend has no eviction support; "
-                "use sharded: (or a bare path) with --cache-budget"
-            )
-        return ResultCache(rest, tracer=tracer)
-    if scheme == "sharded":
-        if not rest:
-            raise EvaluationError(f"sharded: needs a path, got {spec!r}")
-        return ShardedDiskStore(rest, tracer=tracer, policy=policy)
-    # tiered:LOCAL|SHARED — the budget governs the writable local tier.
-    local_spec, sep, shared_spec = rest.partition("|")
-    if not sep or not local_spec or not shared_spec:
+    if not spec:
+        raise EvaluationError("empty cache spec")
+    if spec.startswith("mem:"):
+        if spec != "mem:":
+            raise EvaluationError(f"mem: takes no path, got {spec!r}")
+        return MemoryStore(tracer=tracer, budget=budget_bytes)
+    if spec.startswith(_RETIRED_SCHEMES):
+        scheme, _, rest = spec.partition(":")
+        # tiered:LOCAL|SHARED maps to its writable LOCAL directory.
+        replacement = rest.split("|")[0] or "PATH"
         raise EvaluationError(
-            f"tiered: needs LOCAL|SHARED sub-specs, got {spec!r}")
-    local = open_store(local_spec, tracer=None, budget=budget_bytes or "none")
-    shared = open_store(shared_spec, tracer=None, budget="none")
-    return TieredStore(local, shared, tracer=tracer)
+            f"the {scheme}: cache spec was removed; pass the directory as "
+            f"a bare path instead (e.g. {replacement!r})")
+    return ShardedDiskStore(spec, tracer=tracer, budget=budget_bytes)

@@ -2,9 +2,8 @@
 
 Consumers — :class:`~repro.harness.engine.ExperimentEngine`, the sweep
 runner's memoisation path, the CLI — program against this interface only;
-which backend actually holds the bytes (flat directory, sharded store,
-memory, a tiered composition) is decided once, by
-:func:`~repro.harness.cache.spec.open_store`.
+which backend actually holds the bytes (the on-disk store or memory) is
+decided once, by :func:`~repro.harness.cache.spec.open_store`.
 
 The base class owns everything backend-independent: the per-instance
 :class:`~repro.harness.cache.stats.CacheStats` counters, tracer
@@ -12,7 +11,8 @@ instrumentation (``cache.hits`` / ``cache.misses`` / ``cache.stores`` /
 ``cache.evictions`` counters plus cumulative ``cache.read_seconds`` /
 ``cache.write_seconds`` latencies), hit demotion, and the locked
 lifetime-stats merge.  Backends implement the raw document IO
-(:meth:`_read` / :meth:`_write`) plus enumeration and deletion.
+(:meth:`_read` / :meth:`_write`) plus enumeration, deletion and LRU
+eviction.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import time
 from pathlib import Path
 from typing import Iterator, Optional
 
-from repro.common.errors import EvaluationError
 from repro.harness.cache.stats import (
     STATS_FILE,
     CacheStats,
@@ -91,6 +90,14 @@ class CacheStore(abc.ABC):
     def clear(self) -> int:
         """Delete every entry; returns the number of entries removed."""
 
+    @abc.abstractmethod
+    def evict(self, budget: int, block: bool = True) -> dict:
+        """Shrink the store to at most ``budget`` bytes, LRU-first.
+
+        Returns a report dict (``removed`` / ``freed_bytes`` /
+        ``size_bytes`` / ``skipped``).
+        """
+
     # ------------------------------------------------------------------ #
     # Lookup / store (instrumented template methods)
     # ------------------------------------------------------------------ #
@@ -112,16 +119,6 @@ class CacheStore(abc.ABC):
                               time.perf_counter() - started)
         return payload
 
-    def peek(self, key: str) -> Optional[object]:
-        """Like :meth:`get` but without touching any counter.
-
-        The read-through path of a :class:`~repro.harness.cache.tiered.
-        TieredStore` uses this on its tiers so one logical lookup counts
-        exactly once, at the composed store.
-        """
-        payload = self._read(key)
-        return None if payload is MISS else payload
-
     def put(self, key: str, payload: object, **metadata: object) -> object:
         """Atomically persist ``payload`` (JSON-serialisable) under ``key``."""
         started = time.perf_counter() if self.tracer is not None else 0.0
@@ -140,10 +137,7 @@ class CacheStore(abc.ABC):
         Callers use this when an entry parsed as JSON but failed to decode
         into the expected result type — from the caller's point of view
         that is a corrupt entry, i.e. a miss, and keeping it around would
-        make every future run trip over it again.  Backends with an
-        eviction index drop the entry's index row too (via
-        :meth:`delete`), so a demoted entry can never be "evicted" again
-        or resurrect a stale index row.
+        make every future run trip over it again.
         """
         self.stats.hits = max(self.stats.hits - 1, 0)
         self.stats.misses += 1
@@ -154,15 +148,6 @@ class CacheStore(abc.ABC):
 
     def __len__(self) -> int:
         return sum(1 for _ in self.entries())
-
-    # ------------------------------------------------------------------ #
-    # Eviction (optional per backend)
-    # ------------------------------------------------------------------ #
-    def evict(self, budget: int, block: bool = True):
-        """Shrink the store under ``budget`` bytes (LRU-capable backends)."""
-        raise EvaluationError(
-            f"the {type(self).__name__} backend has no eviction support"
-        )
 
     # ------------------------------------------------------------------ #
     # Lifetime statistics

@@ -142,9 +142,9 @@ class ExperimentEngine:
         """Create an engine.
 
         ``jobs`` is the worker-pool width of the benchmark sweep;
-        ``cache_dir`` enables the result cache — a directory path, a
-        ``mem:``/``dir:``/``sharded:``/``tiered:`` spec string (see
-        :func:`repro.harness.cache.open_store`), or a pre-built
+        ``cache_dir`` enables the result cache — a directory path,
+        ``"mem:"`` (see :func:`repro.harness.cache.open_store`), or a
+        pre-built
         :class:`~repro.harness.cache.CacheStore`; ``cache_budget``
         bounds its size (bytes or ``512M``-style string, LRU eviction,
         default unbounded / ``$REPRO_CACHE_BUDGET``); ``artifact_dir``

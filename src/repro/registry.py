@@ -1,9 +1,8 @@
 """Plugin registries for workloads and runtimes.
 
 Scenario growth used to require cross-layer edits: a new benchmark meant
-hand-editing three parallel dicts in :mod:`repro.eval.experiments`
-(``CASE_BUILDERS``, ``CASE_RUNTIMES``, ``_COMPARED_RUNTIMES``) plus the
-CLI.  This module turns both axes into drop-in plugins:
+hand-editing three parallel dicts in :mod:`repro.eval.experiments` plus
+the CLI.  This module turns both axes into drop-in plugins:
 
 * :func:`register_workload` — decorate a case-builder function (keyword
   arguments → :class:`~repro.runtime.task.TaskProgram`) with a name, tags

@@ -1,5 +1,5 @@
-"""Tests for the layered result cache (store interface, backends,
-sharding, eviction, migration, concurrency, specs)."""
+"""Tests for the result cache (store interface, backends, sharding,
+eviction, concurrency, specs)."""
 
 import json
 import subprocess
@@ -15,17 +15,12 @@ from repro.harness.cache import (
     CacheStats,
     CacheStore,
     FileLock,
-    LruEviction,
     MemoryStore,
-    NoEviction,
-    ResultCache,
     ShardedDiskStore,
-    TieredStore,
     open_store,
     parse_budget,
     resolve_budget,
 )
-from repro.harness.cache.sharded import INDEX_FILE
 from repro.harness.cli import main as cli_main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -48,17 +43,15 @@ class CountingTracer:
 
 def make_backends(tmp_path):
     return {
-        "flat": ResultCache(tmp_path / "flat"),
         "sharded": ShardedDiskStore(tmp_path / "sharded"),
         "memory": MemoryStore(),
-        "tiered": TieredStore(MemoryStore(), MemoryStore()),
     }
 
 
 # --------------------------------------------------------------------- #
 # Interface conformance across every backend
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", ["flat", "sharded", "memory", "tiered"])
+@pytest.mark.parametrize("backend", ["sharded", "memory"])
 class TestCacheStoreContract:
     def test_roundtrip_and_counters(self, tmp_path, backend):
         store = make_backends(tmp_path)[backend]
@@ -112,7 +105,7 @@ class TestCacheStoreContract:
 
 
 # --------------------------------------------------------------------- #
-# Sharded layout, index sidecars, legacy fallback, migration
+# Sharded layout
 # --------------------------------------------------------------------- #
 class TestShardedLayout:
     def test_two_level_fanout(self, tmp_path):
@@ -120,25 +113,6 @@ class TestShardedLayout:
         key = "ab" + "c" * 62
         path = store.put(key, {"x": 1})
         assert path == tmp_path / "ab" / (("c" * 62) + ".json")
-        assert store.key_for(path) == key
-        legacy = store.legacy_path_for(key)
-        assert legacy.name == f"{key}.json"
-        assert store.key_for(legacy) == key
-
-    def test_index_sidecar_tracks_entries_but_is_not_one(self, tmp_path):
-        store = ShardedDiskStore(tmp_path)
-        key = key_of(5)
-        store.put(key, {"x": 1})
-        sidecar = tmp_path / key[:2] / INDEX_FILE
-        assert sidecar.is_file()
-        index = json.loads(sidecar.read_text())
-        assert key in index
-        size, atime = index[key]
-        assert size > 0 and atime > 0
-        # The sidecar must never be counted, sized or cleared as an entry.
-        assert len(store) == 1
-        assert store.clear() == 1
-        assert not sidecar.exists()
 
     def test_hit_touches_access_time(self, tmp_path):
         import time
@@ -146,61 +120,21 @@ class TestShardedLayout:
         store = ShardedDiskStore(tmp_path)
         key = key_of(5)
         store.put(key, {"x": 1})
-        before = store.reconcile()[key][2]
+        before = store.path_for(key).stat().st_mtime
         time.sleep(0.02)
         store.get(key)
-        after = store.reconcile()[key][2]
+        after = store.path_for(key).stat().st_mtime
         assert after > before
 
-    def test_legacy_flat_entries_served_with_zero_misses(self, tmp_path):
-        flat = ResultCache(tmp_path)
-        keys = [key_of(i) for i in range(4)]
-        for i, key in enumerate(keys):
-            flat.put(key, {"i": i})
-        sharded = ShardedDiskStore(tmp_path)
-        for i, key in enumerate(keys):
-            assert sharded.contains(key)
-            assert sharded.get(key) == {"i": i}
-        assert sharded.stats.misses == 0
-        assert sharded.stats.hits == len(keys)
-
-    def test_migrate_is_idempotent_and_preserves_hits(self, tmp_path):
-        flat = ResultCache(tmp_path)
-        keys = [key_of(i) for i in range(4)]
-        for i, key in enumerate(keys):
-            flat.put(key, {"i": i})
-        store = ShardedDiskStore(tmp_path)
-        assert store.migrate() == len(keys)
-        assert store.migrate() == 0  # second run finds nothing to do
-        assert len(store) == len(keys)
-        for i, key in enumerate(keys):
-            assert store.path_for(key).is_file()
-            assert not store.legacy_path_for(key).is_file()
-            assert store.get(key) == {"i": i}
-        assert store.stats.misses == 0
-
-    def test_delete_removes_both_layouts_and_index_row(self, tmp_path):
-        flat = ResultCache(tmp_path)
-        store = ShardedDiskStore(tmp_path)
-        key = key_of(9)
-        flat.put(key, {"v": "legacy"})
-        store.put(key, {"v": "sharded"})
-        assert store.delete(key) is True
-        assert not store.contains(key)
-        index = store._read_index(tmp_path / key[:2] / INDEX_FILE)
-        assert key not in index
-
-    def test_demoted_entry_leaves_no_stale_index_row(self, tmp_path):
-        # Regression: a demoted (invalidated) entry must drop out of the
-        # LRU index too, so eviction cannot "remove" it a second time.
+    def test_demoted_entry_is_not_evicted_again(self, tmp_path):
+        # Regression: eviction must not "remove" a demoted (invalidated)
+        # entry a second time.
         store = ShardedDiskStore(tmp_path)
         keep, demoted = key_of(1), key_of(2)
         store.put(keep, {"x": 1})
         store.put(demoted, {"x": 2})
         store.get(demoted)
         store.demote_hit(demoted)
-        index = store._read_index(tmp_path / demoted[:2] / INDEX_FILE)
-        assert demoted not in index
         report = store.evict(budget=1)
         assert report["removed"] == 1  # only the surviving entry
         assert store.stats.evictions == 1
@@ -211,20 +145,6 @@ class TestShardedLayout:
             store.put(key_of(i), {"i": i})
         assert list(tmp_path.glob("*/*.tmp")) == []
 
-    def test_reconcile_rebuilds_drifted_index(self, tmp_path):
-        store = ShardedDiskStore(tmp_path)
-        keys = [key_of(i) for i in range(3)]
-        for i, key in enumerate(keys):
-            store.put(key, {"i": i})
-        # Corrupt one sidecar and delete an entry file behind its back.
-        shard = tmp_path / keys[0][:2]
-        (shard / INDEX_FILE).write_text("{broken", encoding="utf-8")
-        store.path_for(keys[1]).unlink()
-        catalogue = store.reconcile()
-        assert set(catalogue) == {keys[0], keys[2]}
-        rebuilt = store._read_index(shard / INDEX_FILE)
-        assert keys[0] in rebuilt
-
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         store = ShardedDiskStore(tmp_path)
         key = key_of(6)
@@ -232,6 +152,27 @@ class TestShardedLayout:
         store.path_for(key).write_text("{not json", encoding="utf-8")
         assert store.get(key) is None
         assert store.stats.misses == 1
+
+    def test_previous_flat_layout_and_index_sidecar_are_inert(self,
+                                                               tmp_path):
+        # A directory written by an older version: a flat-named entry
+        # (the full key as the file name) beside an .index sidecar.
+        key = key_of(4)
+        shard = tmp_path / key[:2]
+        shard.mkdir()
+        (shard / f"{key}.json").write_text(json.dumps(
+            {"key": key, "metadata": {}, "payload": {"v": "flat"}}))
+        (shard / ".index").write_text(json.dumps({key: [64, 1.0]}))
+        store = ShardedDiskStore(tmp_path)
+        assert store.get(key) is None
+        assert store.stats.misses == 1
+        store.put(key_of(5), {"v": "sharded"})
+        assert len(store) == 2  # the orphan counts until removed
+        report = store.evict(budget=1)
+        assert report["removed"] == 2
+        store.put(key_of(6), {"v": "sharded"})
+        assert store.clear() == 1
+        assert len(store) == 0
 
 
 # --------------------------------------------------------------------- #
@@ -254,8 +195,7 @@ class TestEviction:
         probe = ShardedDiskStore(tmp_path / "probe")
         probe.put(key_of(0), {"i": 0, "pad": "x" * 64})
         budget = 3 * probe.size_bytes() + 8
-        store = ShardedDiskStore(tmp_path / "store",
-                                 policy=LruEviction(budget))
+        store = ShardedDiskStore(tmp_path / "store", budget=budget)
         for i in range(12):
             store.put(key_of(i), {"i": i, "pad": "x" * 64})
             assert store.size_bytes() <= budget
@@ -279,7 +219,7 @@ class TestEviction:
         assert store.contains(touched) and store.contains(new)
 
     def test_oversized_entry_is_evicted_too(self, tmp_path):
-        store = ShardedDiskStore(tmp_path, policy=LruEviction(64))
+        store = ShardedDiskStore(tmp_path, budget=64)
         store.put(key_of(1), {"pad": "x" * 4096})
         assert store.size_bytes() <= 64
         assert len(store) == 0
@@ -309,13 +249,9 @@ class TestEviction:
         finally:
             lock.release()
 
-    def test_flat_backend_refuses_eviction(self, tmp_path):
-        with pytest.raises(EvaluationError):
-            ResultCache(tmp_path).evict(budget=1)
-
     def test_unbudgeted_store_never_evicts(self, tmp_path):
-        store = ShardedDiskStore(tmp_path)  # NoEviction default
-        assert isinstance(store.policy, NoEviction)
+        store = ShardedDiskStore(tmp_path)
+        assert store.budget is None
         for i in range(16):
             store.put(key_of(i), {"i": i})
         assert len(store) == 16
@@ -350,7 +286,7 @@ class TestLocksAndStats:
         # The historical race: engine A and engine B close at once, each
         # read-modify-writes stats.json, one delta vanishes.  Now the
         # merge is serialised, so the lifetime document sums both.
-        stores = [ResultCache(tmp_path) for _ in range(4)]
+        stores = [ShardedDiskStore(tmp_path) for _ in range(4)]
         for i, store in enumerate(stores):
             store.get(key_of(i))  # one miss each
         threads = [threading.Thread(target=store.persist_stats)
@@ -359,10 +295,10 @@ class TestLocksAndStats:
             thread.start()
         for thread in threads:
             thread.join()
-        assert ResultCache(tmp_path).lifetime_stats().misses == 4
+        assert ShardedDiskStore(tmp_path).lifetime_stats().misses == 4
 
     def test_persist_keeps_delta_when_lock_unavailable(self, tmp_path):
-        store = ResultCache(tmp_path)
+        store = ShardedDiskStore(tmp_path)
         store._stats_lock_timeout = 0.05
         store.get(key_of(1))
         blocker = FileLock(tmp_path / ".stats.lock", timeout=0.5)
@@ -373,7 +309,7 @@ class TestLocksAndStats:
             blocker.release()
         # The delta was retained, so the retry persists the lost lookup.
         assert store.persist_stats() == store.stats_path
-        assert ResultCache(tmp_path).lifetime_stats().misses == 1
+        assert ShardedDiskStore(tmp_path).lifetime_stats().misses == 1
 
     def test_sharded_lifetime_stats_roundtrip_with_evictions(self,
                                                              tmp_path):
@@ -388,48 +324,6 @@ class TestLocksAndStats:
         assert lifetime.hits == 1
         assert lifetime.evictions == 3
         assert isinstance(lifetime, CacheStats)
-
-
-# --------------------------------------------------------------------- #
-# Tiered composition
-# --------------------------------------------------------------------- #
-class TestTieredStore:
-    def test_read_through_write_back(self, tmp_path):
-        local = ShardedDiskStore(tmp_path / "local")
-        shared = ShardedDiskStore(tmp_path / "shared")
-        key = key_of(1)
-        shared.put(key, {"x": 1})
-        tiered = TieredStore(local, shared)
-        assert tiered.get(key) == {"x": 1}
-        assert tiered.stats.hits == 1
-        # The shared hit landed locally; the next read is local.
-        assert local.contains(key)
-        shared.delete(key)
-        assert tiered.get(key) == {"x": 1}
-
-    def test_writes_and_maintenance_stay_local(self, tmp_path):
-        local = ShardedDiskStore(tmp_path / "local")
-        shared = ShardedDiskStore(tmp_path / "shared")
-        shared.put(key_of(1), {"x": 1})
-        tiered = TieredStore(local, shared)
-        tiered.put(key_of(2), {"x": 2})
-        assert local.contains(key_of(2))
-        assert not shared.contains(key_of(2))
-        assert len(tiered) == 1  # enumerates the local tier only
-        assert tiered.clear() == 1
-        assert shared.contains(key_of(1))  # shared tier never mutated
-
-    def test_one_logical_lookup_counts_once(self, tmp_path):
-        local = MemoryStore()
-        shared = MemoryStore()
-        shared.put(key_of(1), {"x": 1})
-        tiered = TieredStore(local, shared)
-        tiered.get(key_of(1))
-        tiered.get(key_of(9))
-        assert (tiered.stats.hits, tiered.stats.misses) == (1, 1)
-        # Sub-stores never count the composed store's lookups.
-        assert local.stats.lookups == 0
-        assert shared.stats.lookups == 0
 
 
 # --------------------------------------------------------------------- #
@@ -459,19 +353,10 @@ class TestSpecs:
 
     def test_open_store_schemes(self, tmp_path):
         assert isinstance(open_store("mem:"), MemoryStore)
-        flat = open_store(f"dir:{tmp_path / 'flat'}")
-        assert isinstance(flat, ResultCache)
-        assert not isinstance(flat, ShardedDiskStore)
-        assert isinstance(open_store(f"sharded:{tmp_path / 's'}"),
-                          ShardedDiskStore)
         assert isinstance(open_store(str(tmp_path / "bare")),
                           ShardedDiskStore)
         assert isinstance(open_store(tmp_path / "pathlike"),
                           ShardedDiskStore)
-        tiered = open_store(
-            f"tiered:{tmp_path / 'local'}|{tmp_path / 'shared'}")
-        assert isinstance(tiered, TieredStore)
-        assert isinstance(tiered.local, ShardedDiskStore)
 
     def test_open_store_passthrough_adopts_tracer(self, tmp_path):
         tracer = CountingTracer()
@@ -482,19 +367,23 @@ class TestSpecs:
     def test_open_store_budget_attaches_lru(self, tmp_path,
                                             monkeypatch):
         store = open_store(str(tmp_path), budget="1M")
-        assert isinstance(store.policy, LruEviction)
-        assert store.policy.budget_bytes == 1024 ** 2
+        assert store.budget == 1024 ** 2
         monkeypatch.setenv(CACHE_BUDGET_ENV, "2M")
         from_env = open_store(str(tmp_path))
-        assert from_env.policy.budget_bytes == 2 * 1024 ** 2
+        assert from_env.budget == 2 * 1024 ** 2
+        assert open_store("mem:", budget="4K").budget == 4096
 
     def test_open_store_rejects_bad_specs(self, tmp_path):
         for bad in ("", "mem:somewhere", "dir:", "sharded:",
-                    "tiered:", "tiered:onlylocal", 42):
+                    "tiered:", "tiered:onlylocal", 42,
+                    f"dir:{tmp_path}", f"sharded:{tmp_path}",
+                    f"tiered:{tmp_path / 'a'}|{tmp_path / 'b'}"):
             with pytest.raises(EvaluationError):
                 open_store(bad)
-        with pytest.raises(EvaluationError):
-            open_store(f"dir:{tmp_path}", budget="1M")
+        # A retired scheme names its bare-path replacement instead of
+        # silently creating a directory literally called "dir:...".
+        with pytest.raises(EvaluationError, match="bare path"):
+            open_store("dir:.cache")
 
 
 # --------------------------------------------------------------------- #
@@ -515,7 +404,7 @@ for r in range(rounds):
         store.put(key, {{"worker": worker, "n": n}}, round=r)
         got = store.get(key)
         assert got == {{"worker": worker, "n": n}}, (key, got)
-    # A generous budget: exercises the eviction lock and reconcile
+    # A generous budget: exercises the eviction lock and catalogue scan
     # against live writers without ever removing a legitimate entry.
     store.evict(budget=1 << 40)
 print(store.stats.stores)
@@ -551,35 +440,12 @@ class TestMultiProcessStress:
         for key, n in expected.items():
             payload = store.get(key)
             assert payload == {"worker": n // 10_000, "n": n}, key
-        # The final index must be consistent with the shard contents.
-        catalogue = store.reconcile()
-        assert set(catalogue) == set(expected)
-        for shard_dir in {path.parent for path in store.entries()}:
-            index = store._read_index(shard_dir / INDEX_FILE)
-            on_disk = {store.key_for(path)
-                       for path in shard_dir.glob("*.json")
-                       if not path.name.startswith(".")}
-            assert set(index) == on_disk
 
 
 # --------------------------------------------------------------------- #
-# CLI: cache actions, budgets, bench rows
+# CLI: cache actions, budgets
 # --------------------------------------------------------------------- #
 class TestCacheCli:
-    def test_cache_migrate_subcommand(self, tmp_path, capsys):
-        flat = ResultCache(tmp_path)
-        keys = [key_of(i) for i in range(3)]
-        for i, key in enumerate(keys):
-            flat.put(key, {"i": i})
-        assert cli_main(["cache", "migrate",
-                         "--cache-dir", str(tmp_path)]) == 0
-        assert "migrated 3" in capsys.readouterr().out
-        store = ShardedDiskStore(tmp_path)
-        assert all(store.path_for(key).is_file() for key in keys)
-        assert cli_main(["cache", "migrate",
-                         "--cache-dir", str(tmp_path)]) == 0
-        assert "migrated 0" in capsys.readouterr().out
-
     def test_cache_evict_subcommand(self, tmp_path, capsys):
         store = ShardedDiskStore(tmp_path)
         for i in range(4):
@@ -608,40 +474,13 @@ class TestCacheCli:
         assert "lifetime evictions: 2" in out
 
     def test_cache_dir_accepts_spec_strings(self, tmp_path, capsys):
-        assert cli_main(["cache", "--cache-dir",
-                         f"dir:{tmp_path}"]) == 0
+        assert cli_main(["cache", "--cache-dir", "mem:"]) == 0
         assert "entries: 0" in capsys.readouterr().out
 
     def test_run_rejects_bad_budget(self, tmp_path, capsys):
         assert cli_main(["run", "table2", "--quiet",
                          "--cache-dir", str(tmp_path / "c"),
                          "--cache-budget", "garbage"]) != 0
-
-
-class TestCacheBench:
-    def test_measure_cache_shape(self):
-        from repro.harness.bench import measure_cache
-
-        report = measure_cache(entries=8, payload_fields=4)
-        assert report["entries"] == 8
-        for backend in ("flat", "sharded"):
-            numbers = report[backend]
-            assert 0 <= numbers["put_p50_seconds"] \
-                <= numbers["put_p95_seconds"]
-            assert 0 <= numbers["get_p50_seconds"] \
-                <= numbers["get_p95_seconds"]
-
-    def test_engine_bench_includes_cache_rows(self):
-        from repro.harness.bench import run_engine_bench
-
-        entry = run_engine_bench(num_events=2_000, include_case=False,
-                                 repeats=1, include_pool=False,
-                                 include_cache=True)
-        assert "flat" in entry["cache"] and "sharded" in entry["cache"]
-        skipped = run_engine_bench(num_events=2_000, include_case=False,
-                                   repeats=1, include_pool=False,
-                                   include_cache=False)
-        assert "cache" not in skipped
 
 
 # --------------------------------------------------------------------- #
@@ -665,8 +504,7 @@ class TestEngineIntegration:
         with ExperimentEngine(config=SimConfig(),
                               cache_dir=tmp_path / "cache",
                               cache_budget="1M") as engine:
-            assert isinstance(engine.cache.policy, LruEviction)
-            assert engine.cache.policy.budget_bytes == 1024 ** 2
+            assert engine.cache.budget == 1024 ** 2
 
     def test_study_cache_budget_knob(self, tmp_path):
         from repro.api import Study
