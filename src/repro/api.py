@@ -183,7 +183,6 @@ class Study:
         self._cache_dir = None
         self._cache_budget = None
         self._artifact_dir: Optional[Path] = None
-        self._bench_path: Optional[Path] = None
         self._trace_path: Optional[Path] = None
 
     # ------------------------------------------------------------------ #
@@ -364,7 +363,7 @@ class Study:
         return self
 
     def label(self, text: str) -> "Study":
-        """Name the study (used for artifacts and bench attribution)."""
+        """Name the study (used for artifacts and the trace manifest)."""
         self._label = text
         return self
 
@@ -387,11 +386,6 @@ class Study:
         self._artifact_dir = Path(artifact_dir)
         return self
 
-    def bench(self, trajectory_path) -> "Study":
-        """Record per-case sweep timings into a perf trajectory file."""
-        self._bench_path = Path(trajectory_path)
-        return self
-
     def trace(self, trace_path) -> "Study":
         """Record the study's telemetry stream as JSONL under ``path``.
 
@@ -407,8 +401,7 @@ class Study:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run(self, jobs: int = 1, engine=None,
-            progress=None) -> StudyResult:
+    def run(self, jobs: int = 1, engine=None) -> StudyResult:
         """Execute the study and return its :class:`StudyResult`.
 
         ``jobs`` is the host process fan-out of the benchmark sweep.  A
@@ -434,8 +427,6 @@ class Study:
                 jobs=jobs,
                 cache_dir=self._cache_dir,
                 cache_budget=self._cache_budget,
-                progress=progress,
-                bench_path=self._bench_path,
                 run_label=label,
                 keep_going=self._keep_going,
                 retries=self._retries,

@@ -13,7 +13,6 @@ Subcommands::
     python -m repro sweep --experiment scaling_curves --cores 1,2,4,8
     python -m repro cache --stats / --clear
     python -m repro cache evict --cache-budget 512M  # LRU shrink
-    python -m repro bench --events 1000000    # engine microbenchmark
     python -m repro trace summary trace.jsonl # digest a telemetry trace
 
 ``run``/``sweep`` also accept a stochastic scenario: ``--arrival`` /
@@ -23,9 +22,9 @@ deterministic random stream and ``--deadline-factor`` stamps per-task
 deadlines.  The same seeded scenario always reproduces byte-identical
 results, under any ``--jobs`` value (:mod:`repro.scenario`).
 
-``run``/``sweep``/``bench`` accept ``--workload``/``--runtime``/``--tag``
-filters resolved through the plugin registries (:mod:`repro.registry`), so
-a workload or runtime registered by a drop-in plugin is immediately
+``run``/``sweep`` accept ``--workload``/``--runtime``/``--tag`` filters
+resolved through the plugin registries (:mod:`repro.registry`), so a
+workload or runtime registered by a drop-in plugin is immediately
 runnable from the command line; unknown names fail with a did-you-mean
 suggestion listing the registered names.
 
@@ -44,25 +43,22 @@ differ between entry points when those knobs differ.)
 ``sweep`` runs grid sweeps: the ``scaling_curves`` experiment over a
 ``--cores`` grid (optionally filtered to ``--runtimes``), or any other
 registry experiment repeated per core count.  All grid work shares one
-process pool (``--jobs``, defaulting to ``$REPRO_JOBS``) and the result
-cache, and the 8-core column of a scaling sweep addresses exactly the
-Figure 9 cache entries — re-running a sweep, with any ``--jobs`` value,
-is a pure cache hit.
+process pool and the result cache, and the 8-core column of a scaling
+sweep addresses exactly the Figure 9 cache entries — re-running a sweep,
+with any ``--jobs`` value, is a pure cache hit.  ``run`` and ``sweep``
+share one set of engine flags (inputs, fan-out, cache, output), and both
+default ``--jobs`` to ``$REPRO_JOBS``.
 
-``bench`` measures raw engine throughput (synthetic events/sec plus one
-timed Figure 9 case) and appends the measurement to the
-``BENCH_engine.json`` perf trajectory — see :mod:`repro.harness.bench`.
-``run --bench-out PATH`` records per-case sweep wall-clock into the same
-trajectory.
-
-``run``, ``sweep`` and ``bench`` accept ``--trace PATH`` (default
-``$REPRO_TRACE``) to record the invocation's telemetry stream — run
-manifest, phase/sweep/unit spans, cache and pool counters — as JSONL
+``run`` and ``sweep`` accept ``--trace PATH`` (default ``$REPRO_TRACE``)
+to record the invocation's telemetry stream — run manifest,
+phase/sweep/unit spans, cache and pool counters — as JSONL
 (:mod:`repro.harness.telemetry`); ``trace summary FILE`` digests such a
 file into per-phase wall-clock, unit-latency percentiles, cache hit ratio
-and the failure list.  ``cache --stats`` reports the cache directory's
-*lifetime* hit/miss/store/evict counters alongside its entry count and
-size.
+and the failure list.  The unit spans carry each simulated unit's host
+seconds and sim-core throughput; host performance as a whole is measured
+by the ``perfbench/`` harness outside the package.  ``cache --stats``
+reports the cache directory's *lifetime* hit/miss/store/evict counters
+alongside its entry count and size.
 
 ``--cache-dir`` accepts a directory path or ``mem:`` (an in-process
 store), and ``--cache-budget`` (default ``$REPRO_CACHE_BUDGET``) bounds
@@ -99,14 +95,8 @@ from repro.eval.reporting import (
     scaling_report,
 )
 from repro.harness.artifacts import encode
-from repro.harness.bench import (
-    DEFAULT_TRAJECTORY,
-    PerfTrajectory,
-    run_engine_bench,
-)
 from repro.harness.cache import CACHE_BUDGET_ENV, open_store, resolve_budget
 from repro.harness.engine import ExperimentEngine
-from repro.harness.progress import NullProgress, Progress
 from repro.harness.sweep import SweepGrid
 from repro.scenario import ScenarioSpec
 
@@ -117,8 +107,8 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: Environment variable giving the default host-process fan-out of
-#: ``sweep`` (never part of any cache key, so changing it cannot
-#: invalidate results).
+#: ``run`` and ``sweep`` (never part of any cache key, so changing it
+#: cannot invalidate results).
 JOBS_ENV = "REPRO_JOBS"
 
 #: Environment variable naming plugin modules (comma-separated module
@@ -128,7 +118,7 @@ JOBS_ENV = "REPRO_JOBS"
 PLUGINS_ENV = "REPRO_PLUGINS"
 
 #: Environment variable giving the default ``--trace`` path of
-#: ``run``/``sweep``/``bench`` (never part of any cache key, so tracing a
+#: ``run``/``sweep`` (never part of any cache key, so tracing a
 #: run cannot change its results).
 TRACE_ENV = "REPRO_TRACE"
 
@@ -346,7 +336,7 @@ def _resolve_trace(args: argparse.Namespace) -> Optional[Path]:
     return Path(from_env) if from_env else None
 
 
-def _build_engine(args: argparse.Namespace, jobs: int,
+def _build_engine(args: argparse.Namespace,
                   run_label: Optional[str] = None) -> ExperimentEngine:
     """The shared engine wiring of the ``run`` and ``sweep`` subcommands."""
     cache_dir = None
@@ -354,15 +344,14 @@ def _build_engine(args: argparse.Namespace, jobs: int,
         cache_dir = args.cache_dir if args.cache_dir else default_cache_dir()
     return ExperimentEngine(
         config=SimConfig(),
-        jobs=jobs,
+        jobs=args.jobs if args.jobs is not None else _default_jobs(),
         cache_dir=cache_dir,
-        cache_budget=getattr(args, "cache_budget", None),
+        cache_budget=args.cache_budget,
         artifact_dir=args.artifact_dir,
-        progress=NullProgress() if args.quiet else Progress(),
-        bench_path=args.bench_out,
+        progress=None if args.quiet else sys.stderr,
         run_label=run_label,
-        keep_going=getattr(args, "keep_going", False),
-        retries=getattr(args, "retries", 1),
+        keep_going=args.keep_going,
+        retries=args.retries,
         trace_path=_resolve_trace(args),
     )
 
@@ -451,107 +440,68 @@ def build_parser() -> argparse.ArgumentParser:
                           help="stamp per-task deadlines at FACTOR x "
                                "payload after release and count misses")
 
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--quick", action="store_true",
+                        help="reduced benchmark sweep")
+    engine.add_argument("--scale", type=float, default=1.0,
+                        help="shrink problem sizes proportionally "
+                             "(default 1.0)")
+    engine.add_argument("--workload", type=_parse_names, action="extend",
+                        default=None, metavar="NAME[,NAME...]",
+                        help="restrict the benchmark sweep to these "
+                             "registered workloads (see 'workloads')")
+    engine.add_argument("--tag", type=_parse_names, action="extend",
+                        default=None, metavar="TAG[,TAG...]",
+                        help="restrict the sweep to workloads carrying every "
+                             "listed tag")
+    engine.add_argument("--runtime", "--runtimes", dest="runtimes",
+                        type=_parse_names, action="extend", default=None,
+                        metavar="NAME[,NAME...]",
+                        help="runtimes to compare for figure9/scaling_curves "
+                             "(default nanos-sw,nanos-rv,phentos; serial "
+                             "always runs; see 'runtimes')")
+    engine.add_argument("--jobs", "-j", type=int, default=None,
+                        help=f"host processes for the sweep (default "
+                             f"${JOBS_ENV} or 1; never part of cache keys)")
+    engine.add_argument("--cache-dir", default=None, metavar="DIR_OR_SPEC",
+                        help=f"result cache directory, or mem: "
+                             f"(default ${CACHE_DIR_ENV} or "
+                             f"{DEFAULT_CACHE_DIR})")
+    engine.add_argument("--cache-budget", default=None, metavar="SIZE",
+                        help=f"cache size budget with LRU eviction, e.g. "
+                             f"512M (default ${CACHE_BUDGET_ENV} or "
+                             f"unbounded)")
+    engine.add_argument("--no-cache", action="store_true",
+                        help="disable the result cache")
+    engine.add_argument("--artifact-dir", type=Path, default=None,
+                        help="also archive results as JSON artifacts here")
+    engine.add_argument("--format", choices=("text", "json"), default="text",
+                        help="report format (default text)")
+    engine.add_argument("--quiet", action="store_true",
+                        help="suppress progress output")
+
     run = sub.add_parser(
         "run", help="run one or more experiments (or 'all')",
-        parents=[plugins, resilience, tracing, scenario],
+        parents=[plugins, resilience, tracing, scenario, engine],
     )
     run.add_argument("experiments", nargs="+",
                      help=f"experiment ids ({', '.join(_RUN_ORDER)}) or 'all'")
-    run.add_argument("--quick", action="store_true",
-                     help="reduced benchmark sweep")
-    run.add_argument("--scale", type=float, default=1.0,
-                     help="shrink problem sizes proportionally (default 1.0)")
-    run.add_argument("--workload", type=_parse_names, action="extend",
-                     default=None, metavar="NAME[,NAME...]",
-                     help="restrict the benchmark sweep to these registered "
-                          "workloads (see 'workloads')")
-    run.add_argument("--tag", type=_parse_names, action="extend",
-                     default=None, metavar="TAG[,TAG...]",
-                     help="restrict the sweep to workloads carrying every "
-                          "listed tag")
-    run.add_argument("--runtime", "--runtimes", dest="runtimes",
-                     type=_parse_names, action="extend", default=None,
-                     metavar="NAME[,NAME...]",
-                     help="runtimes to compare for figure9/scaling_curves "
-                          "(serial always runs; see 'runtimes')")
-    run.add_argument("--jobs", "-j", type=int, default=1,
-                     help="host processes for the sweep (default 1)")
     run.add_argument("--workers", type=int, default=None,
                      help="simulated cores per run (default: config)")
     run.add_argument("--num-tasks", type=int, default=None,
                      help="micro-benchmark task count for figures 6/7")
-    run.add_argument("--cache-dir", default=None, metavar="DIR_OR_SPEC",
-                     help=f"result cache directory, or mem: "
-                          f"(default ${CACHE_DIR_ENV} or "
-                          f"{DEFAULT_CACHE_DIR})")
-    run.add_argument("--cache-budget", default=None, metavar="SIZE",
-                     help=f"cache size budget with LRU eviction, e.g. "
-                          f"512M (default ${CACHE_BUDGET_ENV} or "
-                          f"unbounded)")
-    run.add_argument("--no-cache", action="store_true",
-                     help="disable the result cache")
-    run.add_argument("--artifact-dir", type=Path, default=None,
-                     help="also archive results as JSON artifacts here")
-    run.add_argument("--format", choices=("text", "json"), default="text",
-                     help="report format (default text)")
-    run.add_argument("--quiet", action="store_true",
-                     help="suppress progress output")
-    run.add_argument("--bench-out", type=Path, default=None,
-                     help="append per-case sweep timings to this "
-                          "BENCH_engine.json trajectory")
 
     sweep = sub.add_parser(
         "sweep",
         help="grid sweeps: an experiment across core counts "
              "(default: scaling_curves)",
-        parents=[plugins, resilience, tracing, scenario],
+        parents=[plugins, resilience, tracing, scenario, engine],
     )
     sweep.add_argument("--experiment", default="scaling_curves",
                        help="experiment to sweep (default scaling_curves)")
     sweep.add_argument("--cores", type=_parse_cores, default=None,
                        help="comma-separated core counts "
                             "(default 1,2,4,8,16,32,64)")
-    sweep.add_argument("--runtimes", "--runtime", dest="runtimes",
-                       type=_parse_names, action="extend", default=None,
-                       metavar="NAME[,NAME...]",
-                       help="runtime filter for figure9/scaling_curves "
-                            "sweeps (default nanos-sw,nanos-rv,phentos)")
-    sweep.add_argument("--workload", type=_parse_names, action="extend",
-                       default=None, metavar="NAME[,NAME...]",
-                       help="restrict the swept cases to these registered "
-                            "workloads (see 'workloads')")
-    sweep.add_argument("--tag", type=_parse_names, action="extend",
-                       default=None, metavar="TAG[,TAG...]",
-                       help="restrict the swept cases to workloads carrying "
-                            "every listed tag")
-    sweep.add_argument("--quick", action="store_true",
-                       help="reduced benchmark sweep")
-    sweep.add_argument("--scale", type=float, default=1.0,
-                       help="shrink problem sizes proportionally "
-                            "(default 1.0)")
-    sweep.add_argument("--jobs", "-j", type=int, default=None,
-                       help=f"host processes for the grid (default "
-                            f"${JOBS_ENV} or 1; never part of cache keys)")
-    sweep.add_argument("--cache-dir", default=None, metavar="DIR_OR_SPEC",
-                       help=f"result cache directory, or mem: "
-                            f"(default ${CACHE_DIR_ENV} or "
-                            f"{DEFAULT_CACHE_DIR})")
-    sweep.add_argument("--cache-budget", default=None, metavar="SIZE",
-                       help=f"cache size budget with LRU eviction, e.g. "
-                            f"512M (default ${CACHE_BUDGET_ENV} or "
-                            f"unbounded)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="disable the result cache")
-    sweep.add_argument("--artifact-dir", type=Path, default=None,
-                       help="also archive the sweep result as a JSON "
-                            "artifact here")
-    sweep.add_argument("--format", choices=("text", "json"), default="text",
-                       help="report format (default text)")
-    sweep.add_argument("--quiet", action="store_true",
-                       help="suppress progress output")
-    sweep.add_argument("--bench-out", type=Path, default=None,
-                       help="append per-unit sweep timings to this "
-                            "BENCH_engine.json trajectory")
 
     sub.add_parser("list", help="list the experiment registry")
 
@@ -607,34 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
              "cache hit ratio, pool counters, failures")
     trace_summary.add_argument("trace_file", type=Path,
                                help="a trace.jsonl recorded with --trace")
-
-    bench = sub.add_parser(
-        "bench",
-        help="engine microbenchmark (events/sec) + perf trajectory",
-        parents=[plugins, tracing],
-    )
-    bench.add_argument("--events", type=int, default=1_000_000,
-                       help="synthetic workload size (default 1000000)")
-    bench.add_argument("--no-case", action="store_true",
-                       help="skip the timed Figure 9 case")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="runs per measurement, best-of (default 3)")
-    bench.add_argument("--workload", default=None, metavar="NAME",
-                       help="registered workload the timed case is drawn "
-                            "from (default: first quick case)")
-    bench.add_argument("--runtime", "--runtimes", dest="runtimes",
-                       type=_parse_names, action="extend", default=None,
-                       metavar="NAME[,NAME...]",
-                       help="runtimes the timed case runs on (serial "
-                            "always runs)")
-    bench.add_argument("--no-pool", action="store_true",
-                       help="skip the worker-pool warm-up/dispatch "
-                            "overhead measurement")
-    bench.add_argument("--output", type=Path, default=None,
-                       help=f"trajectory file to append to (default "
-                            f"{DEFAULT_TRAJECTORY}; use '-' to disable)")
-    bench.add_argument("--format", choices=("text", "json"), default="text",
-                       help="report format (default text)")
 
     lint = sub.add_parser(
         "lint",
@@ -755,56 +677,6 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, out) -> int:
-    """Run the engine microbenchmark and append it to the trajectory."""
-    trace_path = _resolve_trace(args)
-    from repro.harness.telemetry import JsonlSink, Tracer, null_tracer
-    if trace_path is not None:
-        tracer = Tracer([JsonlSink(trace_path)])
-    else:
-        tracer = null_tracer()
-    try:
-        with tracer.span("bench", "phase", events=args.events,
-                         repeats=args.repeats):
-            entry = run_engine_bench(
-                num_events=args.events,
-                include_case=not args.no_case,
-                config=SimConfig(),
-                repeats=args.repeats,
-                workload=args.workload,
-                runtimes=args.runtimes,
-                include_pool=not args.no_pool,
-            )
-            if trace_path is not None:
-                tracer.event("bench.entry", **entry)
-    finally:
-        tracer.close()
-    if args.format == "json":
-        print(json.dumps(entry, indent=2, sort_keys=True), file=out)
-    else:
-        synthetic = entry["synthetic"]
-        print(f"synthetic workload: {synthetic['num_events']} events, "
-              f"{synthetic['events_per_sec']:,.0f} events/sec", file=out)
-        case = entry.get("figure9_case")
-        if case:
-            print(f"figure9 case:       {case['case']} in "
-                  f"{case['seconds']:.3f}s", file=out)
-        pool = entry.get("pool")
-        if pool:
-            print(f"worker pool:        {pool['warmup_seconds']:.3f}s "
-                  f"warm-up, {pool['dispatch_per_round_seconds'] * 1e3:.1f}ms"
-                  f"/dispatch warm ({pool['workers']} workers)", file=out)
-    if args.output is None or str(args.output) != "-":
-        path = args.output if args.output is not None \
-            else Path(DEFAULT_TRAJECTORY)
-        trajectory = PerfTrajectory(path)
-        trajectory.append(entry)
-        # Status goes to stderr so `--format json` stdout stays parseable.
-        print(f"recorded in {trajectory.path} "
-              f"({len(trajectory.entries())} entries)", file=sys.stderr)
-    return 0
-
-
 def _cmd_sweep(args: argparse.Namespace, out) -> int:
     """Run a grid sweep (scaling curves by default) and render it."""
     from repro.eval.scaling import DEFAULT_CORE_COUNTS
@@ -815,9 +687,7 @@ def _cmd_sweep(args: argparse.Namespace, out) -> int:
               file=sys.stderr)
         return 2
     cores = args.cores if args.cores else list(DEFAULT_CORE_COUNTS)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    engine = _build_engine(args, jobs,
-                           run_label=f"cli:sweep {args.experiment}")
+    engine = _build_engine(args, run_label=f"cli:sweep {args.experiment}")
     try:
         return _run_sweep_command(args, engine, cores, out)
     finally:
@@ -883,8 +753,7 @@ def _cmd_run(args: argparse.Namespace, out) -> int:
                   f"{registry.suggest(name, list(EXPERIMENT_SPECS) + ['all'])}",
                   file=sys.stderr)
             return 2
-    engine = _build_engine(args, args.jobs,
-                           run_label=f"cli:run {','.join(selected)}")
+    engine = _build_engine(args, run_label=f"cli:run {','.join(selected)}")
     try:
         cases = _selected_cases(args)
         json_payload = {}
@@ -933,8 +802,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_cache(args, sys.stdout)
         if args.command == "trace":
             return _cmd_trace(args, sys.stdout)
-        if args.command == "bench":
-            return _cmd_bench(args, sys.stdout)
         if args.command == "lint":
             from repro.analysis.cli import run_lint
             return run_lint(args, sys.stdout, sys.stderr)

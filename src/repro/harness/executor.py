@@ -202,8 +202,8 @@ class ProcessPoolBackend(ExecutorBackend):
     engine-owned backend therefore imports the package once per worker for
     an entire multi-phase study.  ``starts`` counts pool constructions
     (1 for a healthy lifetime; +1 per crash recovery) and ``dispatches``
-    counts dispatch rounds, so tests and the ``repro bench`` pool probe can
-    verify warm reuse.
+    counts dispatch rounds, so tests (and a ``--trace`` run's ``pool.*``
+    counters) can verify warm reuse.
 
     A batch whose worker dies hard breaks the whole pool
     (:class:`concurrent.futures.BrokenExecutor`): the remaining in-flight

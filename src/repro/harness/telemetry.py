@@ -1,23 +1,20 @@
 """Structured run telemetry: hierarchical spans, counters and manifests.
 
-The harness used to expose exactly one window into a running study — the
-:class:`~repro.harness.progress.Progress` stderr line.  This module makes
-run state *machine-readable*: a :class:`Tracer` emits hierarchical spans
-(run → phase → sweep → unit) plus point events to pluggable
-:class:`TelemetrySink` objects, and accumulates named counters (cache
-hits/misses, pool starts/rebuilds, retry rounds) that are snapshotted into
-the trace when the run closes.  Three sinks cover the built-in needs:
+A :class:`Tracer` emits hierarchical spans (run → phase → sweep → unit)
+plus point events to pluggable :class:`TelemetrySink` objects, and
+accumulates named counters (cache hits/misses, pool starts/rebuilds,
+retry rounds) that are snapshotted into the trace when the run closes.
+Three sinks cover the built-in needs:
 
 * :class:`NullSink` — swallows everything; a tracer with no live sink
   skips record construction entirely, so the default (untraced) path adds
   no overhead to a sweep;
 * :class:`JsonlSink` — appends one JSON object per line to a
-  ``trace.jsonl`` file (the ``--trace PATH`` / ``$REPRO_TRACE`` surface),
-  the seam a future ``repro serve`` daemon will stream job status from;
-* :class:`ProgressSink` — adapts span records back onto the classic
-  :class:`~repro.harness.progress.Progress` interface, so the live stderr
-  status lines are now just one more consumer of the telemetry stream
-  (:class:`ConsoleSink` is the stream-facing convenience wrapper).
+  ``trace.jsonl`` file (the ``--trace PATH`` / ``$REPRO_TRACE`` surface);
+* :class:`ConsoleSink` — renders the live stderr status lines of
+  ``python -m repro`` from the same records: a header per sweep span, one
+  line per resolved unit span (with rate and ETA), and a closing
+  simulated/cached/failed breakdown.
 
 Every record is a flat JSON document stamped with :data:`TRACE_SCHEMA`:
 
@@ -56,7 +53,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, TextIO
 
 from repro.common.errors import EvaluationError
-from repro.harness.progress import NullProgress, Progress
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -64,12 +60,10 @@ __all__ = [
     "TelemetrySink",
     "NullSink",
     "JsonlSink",
-    "ProgressSink",
     "ConsoleSink",
     "SpanHandle",
     "Tracer",
     "null_tracer",
-    "progress_tracer",
     "RunManifest",
     "build_manifest",
     "read_trace",
@@ -136,43 +130,68 @@ class JsonlSink(TelemetrySink):
             handle.close()
 
 
-class ProgressSink(TelemetrySink):
-    """Adapts span records onto a :class:`Progress` reporter.
+class ConsoleSink(TelemetrySink):
+    """Live status lines on ``stream``, rendered from span records.
 
-    This is the inversion the telemetry layer introduces: the harness
-    emits spans, and the classic progress line becomes an *adapter* over
-    the same stream everything else consumes — a sweep span's start/end
-    bracket a phase, and each unit span's completion advances it.
+    A sweep span's start prints a header, each unit span's end prints one
+    line (with the phase's rate and ETA once a unit resolved), and the
+    sweep span's end prints the wall clock plus the simulated / cached /
+    failed breakdown.  A sweep of ``total=0`` did nothing and prints
+    nothing, its closing line included.  Pace comes from the records'
+    own timestamps, so the rendering is a pure function of the stream.
     """
 
-    def __init__(self, progress: Progress) -> None:
-        self.progress = progress
+    def __init__(self, stream: TextIO) -> None:
+        self.stream = stream
+        self._label = ""
+        self._total = 0
+        self._done = 0
+        self._cached = 0
+        self._failed = 0
+        self._started = 0.0
+
+    def _print(self, line: str) -> None:
+        print(line, file=self.stream, flush=True)
+
+    def _pace(self, now: float) -> str:
+        """Elapsed rate and ETA of the phase (empty before any signal)."""
+        elapsed = now - self._started
+        if elapsed <= 0 or self._done <= 0:
+            return ""
+        rate = self._done / elapsed
+        remaining = self._total - self._done
+        if remaining <= 0:
+            return f" [{rate:.1f} unit/s]"
+        return f" [{rate:.1f} unit/s, ETA {remaining / rate:.0f}s]"
 
     def emit(self, record: Dict[str, Any]) -> None:
         kind = record.get("kind")
         record_type = record.get("type")
         if kind == "sweep" and record_type == "span_start":
-            self.progress.start(record["name"],
-                                int(record["attrs"].get("total", 0)))
+            self._label = record["name"]
+            self._total = int(record["attrs"].get("total", 0))
+            self._done = self._cached = self._failed = 0
+            self._started = record["ts"]
+            if self._total:
+                self._print(f"{self._label}: {self._total} unit(s)")
         elif kind == "unit" and record_type == "span_end":
             attrs = record.get("attrs", {})
-            self.progress.advance(record["name"],
-                                  cached=bool(attrs.get("cached")),
-                                  failed=bool(attrs.get("failed")))
-        elif kind == "sweep" and record_type == "span_end":
-            self.progress.finish()
-
-
-class ConsoleSink(ProgressSink):
-    """Live status lines on ``stream`` (stderr by default).
-
-    The stream-facing convenience form of :class:`ProgressSink`: exactly
-    the rendering ``python -m repro`` shows, driven by telemetry records
-    instead of direct calls.
-    """
-
-    def __init__(self, stream: Optional[TextIO] = None) -> None:
-        super().__init__(Progress(stream))
+            self._done += 1
+            if attrs.get("cached"):
+                self._cached += 1
+                suffix = " (cached)"
+            elif attrs.get("failed"):
+                self._failed += 1
+                suffix = " (FAILED)"
+            else:
+                suffix = ""
+            self._print(f"  [{self._done}/{self._total}] {record['name']}"
+                        f"{suffix}{self._pace(record['ts'])}")
+        elif kind == "sweep" and record_type == "span_end" and self._total:
+            simulated = self._done - self._cached - self._failed
+            self._print(f"{self._label}: done in {record['seconds']:.1f}s "
+                        f"({simulated} simulated, {self._cached} cached, "
+                        f"{self._failed} failed)")
 
 
 # --------------------------------------------------------------------- #
@@ -366,13 +385,6 @@ class Tracer:
 def null_tracer() -> Tracer:
     """A tracer that records counters but emits nothing."""
     return Tracer([NullSink()])
-
-
-def progress_tracer(progress: Optional[Progress]) -> Tracer:
-    """A tracer rendering through ``progress`` (None → silent)."""
-    if progress is None or isinstance(progress, NullProgress):
-        return Tracer([NullSink()])
-    return Tracer([ProgressSink(progress)])
 
 
 # --------------------------------------------------------------------- #

@@ -20,9 +20,9 @@ from repro.common.config import SimConfig
 from repro.common.errors import EvaluationError
 from repro.eval.experiments import benchmark_cases
 from repro.harness.artifacts import decode, encode
-from repro.harness.bench import PerfTrajectory
 from repro.harness.cli import main as cli_main
 from repro.harness.engine import ExperimentEngine
+from repro.harness.telemetry import TelemetrySink, Tracer
 from repro.registry import register_workload
 
 
@@ -135,12 +135,22 @@ class TestStudyRun:
         assert decode(encode(result)) == result
 
     def test_shared_engine_memoises_across_studies(self, tiny_config):
-        engine = ExperimentEngine(config=tiny_config)
+        class UnitSpans(TelemetrySink):
+            def __init__(self):
+                self.names = []
+
+            def emit(self, record):
+                if record["type"] == "span_end" and record["kind"] == "unit":
+                    self.names.append(record["name"])
+
+        sink = UnitSpans()
+        engine = ExperimentEngine(config=tiny_config, tracer=Tracer([sink]))
         study = Study(tiny_config).workloads("jacobi").quick().scale(0.1)
         first = study.run(engine=engine)
-        assert engine.case_timings  # simulated something
+        assert sink.names  # simulated something
+        before = len(sink.names)
         second = study.run(engine=engine)
-        assert engine.case_timings == {}  # pure memo assembly
+        assert len(sink.names) == before  # pure memo assembly
         assert first == second
 
     def test_explicit_cases(self, tiny_config):
@@ -156,16 +166,6 @@ class TestStudyRun:
         names = store.names()
         assert names and "arch-test" in names[0]
         assert isinstance(store.load(names[0]), StudyResult)
-
-    def test_bench_label_recorded(self, tiny_config, tmp_path):
-        path = tmp_path / "BENCH_engine.json"
-        (Study(tiny_config).workloads("jacobi").quick().scale(0.1)
-         .label("bench-label-test").bench(path).run())
-        entries = PerfTrajectory(path).entries()
-        assert entries
-        assert entries[-1]["kind"] == "sweep"
-        assert entries[-1]["label"] == "bench-label-test"
-        assert entries[-1]["cases"]
 
 
 class TestPluginWorkloadEndToEnd:

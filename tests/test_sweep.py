@@ -185,10 +185,21 @@ class TestGridRunner:
     def test_grid_timings_carry_worker_counts(self, tiny_config, tiny_cases):
         units = [CaseUnit(tiny_config.with_cores(cores), tiny_cases[0],
                           cores) for cores in (1, 2)]
-        timings = {}
-        run_case_grid(units, timings=timings)
-        assert sorted(timings) == sorted(unit.key for unit in units)
-        assert all(key.endswith("w") for key in timings)
+        from repro.harness.telemetry import TelemetrySink, Tracer
+
+        class UnitSpans(TelemetrySink):
+            def __init__(self):
+                self.seconds = {}
+
+            def emit(self, record):
+                if record["type"] == "span_end" and record["kind"] == "unit":
+                    self.seconds[record["name"]] = record["seconds"]
+
+        sink = UnitSpans()
+        run_case_grid(units, tracer=Tracer([sink]))
+        assert sorted(sink.seconds) == sorted(unit.key for unit in units)
+        assert all(key.endswith("w") for key in sink.seconds)
+        assert all(seconds > 0 for seconds in sink.seconds.values())
 
     def test_grid_shares_cache_with_plain_sweeps(self, tmp_path,
                                                  tiny_config, tiny_cases):
@@ -438,3 +449,43 @@ class TestSweepCli:
         assert cli_main(["sweep", "--cores", "1",
                          "--runtimes", "fortran", "--no-cache",
                          "--quick", "--scale", "0.05", "--quiet"]) == 1
+
+
+class TestJobsDefault:
+    """``run`` and ``sweep`` both default ``--jobs`` to ``$REPRO_JOBS``."""
+
+    ARGV = {
+        "run": ["run", "table2"],
+        "sweep": ["sweep", "--experiment", "table2", "--cores", "2"],
+    }
+
+    def _traced_jobs(self, tmp_path, argv):
+        from repro.harness.telemetry import read_trace
+
+        trace = tmp_path / "trace.jsonl"
+        assert cli_main(argv + ["--no-cache", "--quiet",
+                                "--trace", str(trace)]) == 0
+        run_start = next(record for record in read_trace(trace)
+                         if record["type"] == "span_start"
+                         and record["kind"] == "run")
+        return run_start["attrs"]["manifest.jobs"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_env_value_is_honoured(self, command, tmp_path, monkeypatch,
+                                   capsys):
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert self._traced_jobs(tmp_path, self.ARGV[command]) == 3
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_flag_overrides_env(self, command, tmp_path, monkeypatch,
+                                capsys):
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        argv = self.ARGV[command] + ["--jobs", "2"]
+        assert self._traced_jobs(tmp_path, argv) == 2
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_invalid_env_warns_and_falls_back_to_one(
+            self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_JOBS", "many")
+        assert self._traced_jobs(tmp_path, self.ARGV[command]) == 1
+        assert "ignoring invalid $REPRO_JOBS='many'" in capsys.readouterr().err

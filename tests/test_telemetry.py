@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
@@ -13,18 +14,16 @@ from repro.eval.experiments import benchmark_cases
 from repro.harness import ExperimentEngine
 from repro.harness.cache import ShardedDiskStore
 from repro.harness.cli import main as cli_main
-from repro.harness.progress import NullProgress, Progress
 from repro.harness.runner import run_cases
 from repro.harness.telemetry import (
     TRACE_SCHEMA,
+    ConsoleSink,
     JsonlSink,
     NullSink,
-    ProgressSink,
     TelemetrySink,
     Tracer,
     build_manifest,
     null_tracer,
-    progress_tracer,
     read_trace,
     summarize_trace,
 )
@@ -42,6 +41,13 @@ class RecordingSink(TelemetrySink):
 
     def close(self) -> None:
         self.closed = True
+
+
+def _unit_spans(sink: RecordingSink) -> dict:
+    """Unit span name -> (seconds folded into) attrs, from span_end records."""
+    return {record["name"]: dict(record["attrs"], seconds=record["seconds"])
+            for record in sink.records
+            if record["type"] == "span_end" and record["kind"] == "unit"}
 
 
 @pytest.fixture(scope="module")
@@ -165,10 +171,10 @@ class TestInactiveTracer:
             tracer.event("e")
         tracer.emit_counters()
 
-    def test_progress_tracer_of_null_progress_is_inactive(self):
-        assert not progress_tracer(None).active
-        assert not progress_tracer(NullProgress()).active
-        assert progress_tracer(Progress()).active
+    def test_silent_engine_tracer_is_inactive(self):
+        assert not ExperimentEngine().tracer.active
+        assert not ExperimentEngine(progress=None).tracer.active
+        assert ExperimentEngine(progress=io.StringIO()).tracer.active
 
 
 # --------------------------------------------------------------------- #
@@ -215,101 +221,91 @@ class TestJsonlSink:
             read_trace(tmp_path / "missing.jsonl")
 
 
-class TestProgressSink:
-    def test_translates_spans_to_progress_calls(self):
-        calls = []
+def _sweep_start(name: str, total: int, ts: float = 0.0) -> dict:
+    return {"type": "span_start", "kind": "sweep", "name": name,
+            "ts": ts, "attrs": {"total": total}}
 
-        class Spy(Progress):
-            def start(self, label, total):
-                calls.append(("start", label, total))
 
-            def advance(self, description, cached=False, failed=False):
-                calls.append(("advance", description, cached, failed))
+def _unit_end(name: str, ts: float = 0.0, **attrs) -> dict:
+    return {"type": "span_end", "kind": "unit", "name": name, "ts": ts,
+            "seconds": 0.0, "attrs": attrs}
 
-            def finish(self):
-                calls.append(("finish",))
 
-        tracer = Tracer([ProgressSink(Spy())])
+def _sweep_end(name: str, seconds: float = 0.0) -> dict:
+    return {"type": "span_end", "kind": "sweep", "name": name,
+            "ts": seconds, "seconds": seconds, "attrs": {}}
+
+
+class TestConsoleSink:
+    def test_translates_spans_to_status_lines(self):
+        stream = io.StringIO()
+        tracer = Tracer([ConsoleSink(stream)])
         with tracer.span("benchmark sweep", "sweep", total=3):
             tracer.unit("a", 0.1)
             tracer.unit("b", 0.0, cached=True)
             tracer.unit("c", 0.0, failed=True, error_type="X", error="boom")
-        assert calls == [
-            ("start", "benchmark sweep", 3),
-            ("advance", "a", False, False),
-            ("advance", "b", True, False),
-            ("advance", "c", False, True),
-            ("finish",),
-        ]
+        lines = stream.getvalue().splitlines()
+        assert lines[0] == "benchmark sweep: 3 unit(s)"
+        assert lines[1].startswith("  [1/3] a")
+        assert lines[2].startswith("  [2/3] b (cached)")
+        assert lines[3].startswith("  [3/3] c (FAILED)")
+        assert lines[4].startswith("benchmark sweep: done in ")
+        assert lines[4].endswith("(1 simulated, 1 cached, 1 failed)")
+        assert len(lines) == 5
 
     def test_ignores_non_sweep_spans(self):
-        calls = []
-
-        class Spy(Progress):
-            def start(self, label, total):
-                calls.append("start")
-
-            def finish(self):
-                calls.append("finish")
-
-        tracer = Tracer([ProgressSink(Spy())])
+        stream = io.StringIO()
+        tracer = Tracer([ConsoleSink(stream)])
         with tracer.span("run", "run"):
             with tracer.span("figure9", "phase"):
-                pass
-        assert calls == []
+                tracer.event("e")
+        assert stream.getvalue() == ""
 
 
 # --------------------------------------------------------------------- #
-# Progress satellites: pace, finish counts, total=0 suppression
+# Status-line satellites: pace, finish counts, total=0 suppression
 # --------------------------------------------------------------------- #
 class TestProgressReporting:
     def _lines(self, stream):
         return stream.getvalue().splitlines()
 
     def test_advance_reports_rate_and_eta(self):
-        import io
         stream = io.StringIO()
-        progress = Progress(stream)
-        progress.start("sweep", 4)
-        progress._started -= 1.0  # pretend a second elapsed
-        progress.advance("a")
+        sink = ConsoleSink(stream)
+        sink.emit(_sweep_start("sweep", 4, ts=10.0))
+        sink.emit(_unit_end("a", ts=11.0))  # a second after the start
         line = self._lines(stream)[-1]
-        assert "unit/s" in line and "ETA" in line
+        assert line == "  [1/4] a [1.0 unit/s, ETA 3s]"
 
     def test_last_advance_omits_eta(self):
-        import io
         stream = io.StringIO()
-        progress = Progress(stream)
-        progress.start("sweep", 1)
-        progress._started -= 1.0
-        progress.advance("a")
+        sink = ConsoleSink(stream)
+        sink.emit(_sweep_start("sweep", 1, ts=10.0))
+        sink.emit(_unit_end("a", ts=11.0))
         line = self._lines(stream)[-1]
-        assert "unit/s" in line and "ETA" not in line
+        assert line == "  [1/1] a [1.0 unit/s]"
 
     def test_finish_reports_breakdown(self):
-        import io
         stream = io.StringIO()
-        progress = Progress(stream)
-        progress.start("sweep", 3)
-        progress.advance("a")
-        progress.advance("b", cached=True)
-        progress.advance("c", failed=True)
-        progress.finish()
+        sink = ConsoleSink(stream)
+        sink.emit(_sweep_start("sweep", 3))
+        sink.emit(_unit_end("a"))
+        sink.emit(_unit_end("b", cached=True))
+        sink.emit(_unit_end("c", failed=True))
+        sink.emit(_sweep_end("sweep", seconds=2.5))
         line = self._lines(stream)[-1]
-        assert "1 simulated" in line
-        assert "1 cached" in line
-        assert "1 failed" in line
+        assert line == ("sweep: done in 2.5s "
+                        "(1 simulated, 1 cached, 1 failed)")
 
     def test_empty_phase_prints_nothing(self):
-        import io
         stream = io.StringIO()
-        progress = Progress(stream)
-        progress.start("before", 1)
-        progress.advance("a")
-        progress.finish()
+        sink = ConsoleSink(stream)
+        sink.emit(_sweep_start("before", 1))
+        sink.emit(_unit_end("a"))
+        sink.emit(_sweep_end("before"))
         lines_before = len(self._lines(stream))
-        progress.start("empty", 0)
-        progress.finish()
+        sink.emit(_sweep_start("empty", 0))
+        sink.emit(_sweep_end("empty"))
         assert len(self._lines(stream)) == lines_before
 
 
@@ -410,22 +406,45 @@ class TestEngineTracing:
                    for r in sink.records)
         assert sink.records[-1]["type"] == "counters"
 
-    def test_case_rates_populated(self, tiny_config, tiny_cases):
-        with ExperimentEngine(config=tiny_config) as engine:
+    def test_unit_spans_carry_sim_rates(self, tiny_config, tiny_cases):
+        sink = RecordingSink()
+        with ExperimentEngine(config=tiny_config,
+                              tracer=Tracer([sink])) as engine:
             engine.run("figure9", quick=True, cases=tiny_cases)
-            assert set(engine.case_rates) == {case.key
-                                             for case in tiny_cases}
-            assert all(rate > 0 for rate in engine.case_rates.values())
+        units = _unit_spans(sink)
+        assert set(units) == {case.key for case in tiny_cases}
+        assert all(attrs["sim_cycles_per_sec"] > 0
+                   for attrs in units.values())
 
-    def test_trajectory_entry_carries_unit_rates(self, tmp_path,
-                                                 tiny_config, tiny_cases):
-        from repro.harness.bench import PerfTrajectory
-        bench = tmp_path / "BENCH_engine.json"
-        with ExperimentEngine(config=tiny_config, bench_path=bench) as engine:
-            engine.run("figure9", quick=True, cases=tiny_cases)
-        entry = PerfTrajectory(bench).last("sweep")
-        assert set(entry["unit_rates"]) == set(entry["cases"])
-        assert all(rate > 0 for rate in entry["unit_rates"].values())
+
+class TestUnitSpanTimings:
+    """Unit spans are the one record of per-unit host time."""
+
+    def test_simulated_units_are_timed(self, tiny_config, tiny_cases):
+        sink = RecordingSink()
+        runs = run_cases(tiny_config, tiny_cases, num_workers=2,
+                         tracer=Tracer([sink]))
+        assert len(runs) == len(tiny_cases)
+        units = _unit_spans(sink)
+        assert sorted(units) == sorted(case.key for case in tiny_cases)
+        for attrs in units.values():
+            assert attrs["seconds"] > 0
+            assert attrs["sim_cycles"] > 0
+            assert not attrs.get("cached")
+
+    def test_cache_hits_are_not_timed(self, tmp_path, tiny_config,
+                                      tiny_cases):
+        cache = ShardedDiskStore(tmp_path / "cache")
+        run_cases(tiny_config, tiny_cases, num_workers=2, cache=cache)
+        sink = RecordingSink()
+        run_cases(tiny_config, tiny_cases, num_workers=2, cache=cache,
+                  tracer=Tracer([sink]))
+        units = _unit_spans(sink)
+        assert sorted(units) == sorted(case.key for case in tiny_cases)
+        for attrs in units.values():
+            assert attrs["cached"] is True
+            assert attrs["seconds"] == 0.0
+            assert "sim_cycles" not in attrs
 
 
 class TestCountersUnderFailure:
@@ -599,15 +618,6 @@ class TestCliTracing:
         assert "entries: 1" in out
         assert "lifetime: 1 hit(s), 1 miss(es), 1 store(s)" in out
 
-    def test_bench_trace(self, tmp_path, capsys):
-        trace = tmp_path / "bench.jsonl"
-        code = cli_main(["bench", "--events", "2000", "--repeats", "1",
-                         "--no-case", "--no-pool", "--output", "-",
-                         "--trace", str(trace)])
-        assert code == 0
-        records = read_trace(trace)
-        assert any(r["type"] == "event" and r["name"] == "bench.entry"
-                   for r in records)
 
 
 # --------------------------------------------------------------------- #
@@ -645,21 +655,12 @@ class TestStudyTrace:
         decoded = decode(json.loads(json.dumps(encode(result))))
         assert decoded.trace_path == str(trace)
 
-    def test_direct_runner_progress_interface_unchanged(self, tiny_config,
+    def test_direct_runner_renders_through_console_sink(self, tiny_config,
                                                         tiny_cases):
-        calls = []
-
-        class Spy(Progress):
-            def start(self, label, total):
-                calls.append(("start", total))
-
-            def advance(self, description, cached=False, failed=False):
-                calls.append(("advance", description))
-
-            def finish(self):
-                calls.append(("finish",))
-
-        run_cases(tiny_config, tiny_cases, 4, progress=Spy())
-        assert calls[0] == ("start", len(tiny_cases))
-        assert calls[-1] == ("finish",)
-        assert len(calls) == len(tiny_cases) + 2
+        stream = io.StringIO()
+        run_cases(tiny_config, tiny_cases, 4,
+                  tracer=Tracer([ConsoleSink(stream)]))
+        lines = stream.getvalue().splitlines()
+        assert lines[0] == f"benchmark sweep: {len(tiny_cases)} unit(s)"
+        assert lines[-1].startswith("benchmark sweep: done in ")
+        assert len(lines) == len(tiny_cases) + 2
