@@ -14,6 +14,12 @@ zero.  The model charges the per-stage latencies from
 :class:`~repro.common.config.PicosCosts` and applies the reservation-station
 capacity as back-pressure on the submission queue, which is what eventually
 makes the non-blocking submission instructions return their failure flag.
+
+A full reservation station parks the insert pipeline on a one-shot event
+that the retirement pipeline fires after its next retire, so a stall costs
+one wake-up rather than one capacity check per ``retire_cycles``.  The woken
+pipeline resumes on the ``retire_cycles`` grid of the cycle it started
+waiting, when a hardware capacity check would have seen the free slot.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from repro.picos.packets import (
     TaskDescriptor,
     decode_descriptor,
 )
-from repro.sim.engine import Delay, Engine, Get, ProcessGen
+from repro.sim.engine import Delay, Engine, Event, Get, ProcessGen, Wait
 from repro.sim.queues import DecoupledQueue
 
 __all__ = ["ReadyPacket", "ReadyTask", "PicosDevice"]
@@ -59,6 +65,11 @@ class ReadyTask:
 class PicosDevice:
     """The Picos accelerator, driven through its three hardware queues."""
 
+    __slots__ = ("engine", "costs", "name", "stats", "graph", "_sw_ids",
+                 "submission_queue", "ready_queue", "retirement_queue",
+                 "_ready_backlog", "_emitter_busy", "_capacity_freed",
+                 "_submission_process", "_retirement_process")
+
     def __init__(self, engine: Engine, costs: PicosCosts,
                  name: str = "picos") -> None:
         self.engine = engine
@@ -81,6 +92,9 @@ class PicosDevice:
         #: packets have not yet been pushed into the ready queue.
         self._ready_backlog: Deque[ReadyTask] = deque()
         self._emitter_busy = False
+        #: Fired by the retirement pipeline when the insert pipeline is
+        #: waiting on a full reservation station; ``None`` otherwise.
+        self._capacity_freed: Optional[Event] = None
         # Whenever the consumer drains ready packets, try to emit more.
         self.ready_queue.subscribe_dequeue(self._kick_emitter)
         self._submission_process = engine.spawn(
@@ -137,8 +151,20 @@ class PicosDevice:
         # slot.  While waiting, the submission queue fills up and the
         # Submission Handler (and ultimately the non-blocking instructions)
         # observe the back-pressure.
-        while not self.graph.has_capacity():
-            yield Delay(self.costs.retire_cycles)
+        if not self.graph.has_capacity():
+            if self._capacity_freed is not None:
+                raise PicosError(
+                    f"{self.name}: a second insert is waiting for capacity"
+                )
+            start = self.engine.now
+            self._capacity_freed = self.engine.event(f"{self.name}.capacity")
+            yield Wait(self._capacity_freed)
+            # The hardware checks capacity every retire_cycles from ``start``
+            # and, on a grid cycle, before that cycle's retire lands; so a
+            # retire on the grid is seen one full period later.
+            period = self.costs.retire_cycles
+            if period:
+                yield Delay(period - (self.engine.now - start) % period)
         task_id, ready = self.graph.submit(descriptor.sw_id,
                                            descriptor.dependences)
         self._sw_ids[task_id] = descriptor.sw_id
@@ -153,6 +179,12 @@ class PicosDevice:
             picos_id = yield Get(self.retirement_queue)
             yield Delay(self.costs.retire_cycles)
             newly_ready = self.graph.retire(picos_id)
+            freed = self._capacity_freed
+            if freed is not None:
+                # The insert pipeline is the only consumer of capacity, so
+                # the slot just freed stays free until it wakes.
+                self._capacity_freed = None
+                freed.trigger()
             self._sw_ids.pop(picos_id, None)
             self.stats.incr("tasks_retired")
             if newly_ready:

@@ -169,6 +169,17 @@ def test_hotpath_negative(tmp_path):
                         HOTPATH_GOOD, rules=["hot-path"]) == []
 
 
+def test_hotpath_covers_picos_device_pipelines(tmp_path):
+    source = ("class Device:\n"
+              "    def _insert_task(self, descriptor):\n"
+              "        return isinstance(descriptor, int)\n")
+    findings = lint_snippet(tmp_path, "src/repro/picos/device.py", source,
+                            rules=["hot-path"])
+    messages = "\n".join(f.message for f in findings)
+    assert "class 'Device' in a hot module" in messages
+    assert "isinstance() in hot function '_insert_task'" in messages
+
+
 def test_hotpath_dataclasses_are_slots_exempt(tmp_path):
     source = ("from dataclasses import dataclass\n"
               "@dataclass\n"

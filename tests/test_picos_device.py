@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.common.config import PicosCosts
+from repro.common.errors import DeadlockError, PicosError
 from repro.picos.device import PicosDevice, ReadyTask
 from repro.picos.packets import Direction, TaskDependence, TaskDescriptor, \
     encode_descriptor
-from repro.sim.engine import Delay, Engine, Put
+from repro.sim.engine import Delay, Engine, Get, Put
 
 
 def make_device(engine, **overrides):
@@ -99,7 +100,6 @@ class TestSubmissionPipeline:
         engine.run(until=2_000)
         ready = drain_ready(device)[0]
         assert device.sw_id_of(ready.picos_id) == 99
-        from repro.common.errors import PicosError
         with pytest.raises(PicosError):
             device.sw_id_of(12345)
 
@@ -158,6 +158,66 @@ class TestCapacityBackpressure:
         engine.run(until=60_000)
         drained += drain_ready(device)
         assert len(drained) >= 3
+
+
+class TestCapacityWake:
+    """A full station wakes the insert pipeline on the next retire.
+
+    With one slot, the second descriptor starts waiting at cycle 108 and
+    the retirement pipeline retires 8 cycles after the packet arrives.
+    The expected cycles were measured on the capacity-polling device,
+    which checked capacity every 8 cycles from 108.
+    """
+
+    def ready_cycles(self, retire_packet_cycle):
+        """Cycles at which the two ready triples appear."""
+        engine = Engine()
+        device = make_device(engine, max_in_flight_tasks=1)
+        submit(engine, device, descriptor_with(1), descriptor_with(2))
+        cycles = []
+
+        def host():
+            for _ in range(3):
+                first = yield Get(device.ready_queue)
+            cycles.append(engine.now)
+            device.graph.mark_running(first.picos_id)
+            yield Delay(retire_packet_cycle - engine.now)
+            yield Put(device.retirement_queue, first.picos_id)
+            for _ in range(3):
+                second = yield Get(device.ready_queue)
+            cycles.append(engine.now)
+            assert second.sw_id == 2
+
+        engine.run_until_complete([engine.spawn(host(), name="host")])
+        return cycles
+
+    def test_retire_off_the_grid_is_seen_at_the_next_grid_cycle(self):
+        # Retire at 211; accepted at 212; ready 30 cycles later.
+        assert self.ready_cycles(203) == [84, 242]
+
+    def test_retire_on_the_grid_is_seen_one_period_later(self):
+        # Retire at 212, after that cycle's check; accepted at 220.
+        assert self.ready_cycles(204) == [84, 250]
+
+    def test_wedged_station_reports_deadlock(self):
+        engine = Engine()
+        device = make_device(engine, max_in_flight_tasks=1,
+                             submission_queue_depth=8)
+        feeder = submit(engine, device,
+                        *(descriptor_with(index) for index in range(3)))
+        with pytest.raises(DeadlockError,
+                           match=r"feeder\[put\(DecoupledQueue\('picos\.submission'"):
+            engine.run_until_complete([feeder])
+        assert engine.now == 108
+
+    def test_second_capacity_waiter_is_rejected(self):
+        engine = Engine()
+        device = make_device(engine, max_in_flight_tasks=1)
+        submit(engine, device, descriptor_with(1), descriptor_with(2))
+        engine.run(until=200)
+        engine.spawn(device._insert_task(descriptor_with(3)), name="second")
+        with pytest.raises(PicosError, match="second insert"):
+            engine.run(until=300)
 
 
 class TestRetirementPipeline:
