@@ -36,6 +36,7 @@ from repro.common.errors import EvaluationError
 from repro.eval.experiments import (
     BenchmarkCase,
     BenchmarkRun,
+    benchmark_cases,
     checked_geometric_mean,
 )
 from repro.eval.scaling import ScalingCurve
@@ -435,9 +436,10 @@ class Study:
         failures_before = len(engine.unit_failures)
         try:
             cases = (list(self._cases) if self._cases is not None
-                     else benchmark_cases_for(self._workloads,
-                                              self._workload_tags,
-                                              self._quick, self._scale))
+                     else benchmark_cases(quick=self._quick,
+                                          scale=self._scale,
+                                          workloads=self._workloads,
+                                          tags=self._workload_tags))
             base_spec = self._scenario_spec()
             if base_spec is None:
                 seeded: List[Tuple[Optional[int],
@@ -503,15 +505,6 @@ class Study:
             store.save(_artifact_name(label), result,
                        core_counts=list(counts), jobs=jobs)
         return result
-
-
-def benchmark_cases_for(workloads: Optional[Sequence[str]],
-                        tags: Optional[Sequence[str]],
-                        quick: bool, scale: float) -> List[BenchmarkCase]:
-    """The registry-derived case list of a study (shared with the CLI)."""
-    from repro.eval.experiments import benchmark_cases
-    return benchmark_cases(quick=quick, scale=scale,
-                           workloads=workloads, tags=tags)
 
 
 def _artifact_name(label: str) -> str:

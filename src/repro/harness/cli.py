@@ -40,12 +40,16 @@ experiments accept tuning knobs — ``--num-tasks`` here, explicit task-size
 grids in ``examples/reproduce_paper.py`` — so absolute bound values may
 differ between entry points when those knobs differ.)
 
-``sweep`` runs grid sweeps: the ``scaling_curves`` experiment over a
-``--cores`` grid (optionally filtered to ``--runtimes``), or any other
-registry experiment repeated per core count.  All grid work shares one
-process pool and the result cache, and the 8-core column of a scaling
-sweep addresses exactly the Figure 9 cache entries — re-running a sweep,
-with any ``--jobs`` value, is a pure cache hit.  ``run`` and ``sweep``
+``run --workers N`` runs every selected experiment on an N-core machine
+(Figure 6's and Figure 10's MTT bounds and Table 2's resources included).
+``sweep`` runs the ``scaling_curves`` experiment over a ``--cores`` list
+(optionally filtered to ``--runtimes``), or repeats any other registry
+experiment once per core count
+(:meth:`~repro.harness.engine.ExperimentEngine.run_cores`; each column is
+what ``run --workers N`` prints).  All sweep work shares one process pool
+and the result cache, and the 8-core column of a scaling sweep addresses
+exactly the Figure 9 cache entries — re-running a sweep, with any
+``--jobs`` value, is a pure cache hit.  ``run`` and ``sweep``
 share one set of engine flags (inputs, fan-out, cache, output), and both
 default ``--jobs`` to ``$REPRO_JOBS``.
 
@@ -97,7 +101,6 @@ from repro.eval.reporting import (
 from repro.harness.artifacts import encode
 from repro.harness.cache import CACHE_BUDGET_ENV, open_store, resolve_budget
 from repro.harness.engine import ExperimentEngine
-from repro.harness.sweep import SweepGrid
 from repro.scenario import ScenarioSpec
 
 __all__ = ["main", "build_parser", "render_report"]
@@ -487,13 +490,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiments", nargs="+",
                      help=f"experiment ids ({', '.join(_RUN_ORDER)}) or 'all'")
     run.add_argument("--workers", type=int, default=None,
-                     help="simulated cores per run (default: config)")
+                     help="simulated cores of the machine every selected "
+                          "experiment runs on (default: config)")
     run.add_argument("--num-tasks", type=int, default=None,
                      help="micro-benchmark task count for figures 6/7")
 
     sweep = sub.add_parser(
         "sweep",
-        help="grid sweeps: an experiment across core counts "
+        help="run an experiment across core counts "
              "(default: scaling_curves)",
         parents=[plugins, resilience, tracing, scenario, engine],
     )
@@ -678,7 +682,7 @@ def _cmd_trace(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, out) -> int:
-    """Run a grid sweep (scaling curves by default) and render it."""
+    """Run an experiment across core counts (scaling curves by default)."""
     from repro.eval.scaling import DEFAULT_CORE_COUNTS
 
     if args.experiment not in EXPERIMENT_SPECS:
@@ -712,29 +716,28 @@ def _run_sweep_command(args: argparse.Namespace, engine: ExperimentEngine,
                   file=out)
             print(render_report("scaling_curves", result), file=out)
     else:
-        runtimes = _runtimes_for(args, args.experiment)
-        grid = SweepGrid.cores((args.experiment,), cores)
-        results = engine.run_grid(grid, quick=args.quick, scale=args.scale,
-                                  cases=_cases_for(args, cases,
-                                                   args.experiment),
-                                  runtimes=runtimes,
-                                  scenario=_scenario_for(args,
-                                                         args.experiment))
+        results = engine.run_cores(
+            args.experiment, cores, quick=args.quick, scale=args.scale,
+            cases=_cases_for(args, cases, args.experiment),
+            runtimes=_runtimes_for(args, args.experiment),
+            scenario=_scenario_for(args, args.experiment))
+        labelled = [(f"{args.experiment}[num_cores={count}]", count, result)
+                    for count, result in results]
         if args.format == "json":
-            payload = {item.point.label: encode(item.result)
-                       for item in results}
+            payload = {label: encode(result)
+                       for label, _count, result in labelled}
             print(json.dumps(payload, indent=2, sort_keys=True), file=out)
         else:
-            for item in results:
-                print(f"\n=== {item.point.label} ===", file=out)
-                print(render_report(args.experiment, item.result), file=out)
+            for label, _count, result in labelled:
+                print(f"\n=== {label} ===", file=out)
+                print(render_report(args.experiment, result), file=out)
         if args.artifact_dir is not None:
-            # run_grid has no single experiment id; archive per point.
+            # One artifact per core count, named after its column label.
             from repro.harness.artifacts import ArtifactStore
             store = ArtifactStore(args.artifact_dir)
-            for item in results:
-                store.save(item.point.label.replace("/", "_"),
-                           item.result, cores=dict(item.point.overrides))
+            for label, count, result in labelled:
+                store.save(label.replace("/", "_"), result,
+                           cores={"num_cores": count})
     _print_failures(engine)
     _print_cache_stats(engine, args.quiet)
     return 0

@@ -8,20 +8,23 @@ content-addressed result cache.  The examples, the benchmark conftest and
 the ``python -m repro`` CLI all sit on top of this one class, so they cannot
 drift apart.
 
-Beyond the paper's single-machine experiments the engine executes **grid
-sweeps** (:meth:`run_grid`): a :class:`~repro.harness.sweep.SweepGrid` of
-(experiment × config-override) points whose benchmark work — across *all*
-grid points — is fanned through one process pool and the shared result
-cache.  The ``scaling_curves`` experiment is built on this: every Figure 9
-case at every requested core count, assembled into speedup-versus-cores
-curves against the MTT bounds (:mod:`repro.eval.scaling`).  Because cache
-keys canonicalise the worker count into the configuration, the 8-core
-column of a scaling sweep addresses exactly the Figure 9 entries.
+The simulated core count is one value: :meth:`run` resolves
+``num_workers`` into ``config.with_cores(num_workers)`` once, and every
+experiment below it — the Figure 9 sweep, the derived figures (including
+Figure 10's MTT bounds) and the self-contained tables — reads the count
+from that config.  :meth:`run_cores` repeats one experiment per core
+count; the benchmark work of *all* its columns is fanned through one
+process pool and the shared result cache.  The ``scaling_curves``
+experiment is built on the same batching: every Figure 9 case at every
+requested core count, assembled into speedup-versus-cores curves against
+the MTT bounds (:mod:`repro.eval.scaling`).  Because cache keys
+canonicalise the worker count into the configuration, the 8-core column
+of a scaling sweep addresses exactly the Figure 9 entries.
 
 The engine owns one :class:`~repro.harness.executor.ExecutorBackend`
 (serial for ``jobs=1``, a persistent warm process pool otherwise) shared
-by every sweep, grid and scaling phase it drives, so a multi-phase study
-builds one pool and reuses warm workers instead of re-importing the
+by every sweep, core-count and scaling phase it drives, so a multi-phase
+study builds one pool and reuses warm workers instead of re-importing the
 package per sweep; :meth:`close` (or using the engine as a context
 manager) releases it.  Failure isolation is engine-wide too: a failing
 unit becomes a :class:`~repro.harness.executor.UnitFailure` (retried
@@ -36,7 +39,7 @@ one :class:`~repro.harness.telemetry.Tracer` shared with its cache and
 executor, opens the *run* span (stamped with the
 :class:`~repro.harness.telemetry.RunManifest` — version, config
 fingerprint, jobs, host, plugin registries) on the first experiment, nests
-a *phase* span per :meth:`run`/:meth:`run_grid` around the runner's sweep
+a *phase* span per :meth:`run`/:meth:`run_cores` around the runner's sweep
 and unit spans, and snapshots every counter when :meth:`close` ends the
 run.  ``trace_path`` attaches a
 :class:`~repro.harness.telemetry.JsonlSink` (the ``--trace`` /
@@ -52,7 +55,7 @@ directory's lifetime ``stats.json`` (``repro cache --stats``).
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, TextIO
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from repro.common.config import SimConfig
 from repro.common.errors import EvaluationError
@@ -93,7 +96,6 @@ from repro.harness.hashing import (
 from repro.registry import suggest
 from repro.scenario import ScenarioSpec, canonical_scenario
 from repro.harness.runner import CaseUnit, run_case_grid, run_cases
-from repro.harness.sweep import GridPoint, GridResult, SweepGrid
 from repro.harness.telemetry import (
     ConsoleSink,
     JsonlSink,
@@ -186,8 +188,8 @@ class ExperimentEngine:
         # first experiment, ended by close()).
         self._run_span = None
         # In-memory memo of completed sweeps keyed by (config, workers,
-        # cases), so chained derived experiments and grid points in one
-        # engine share the Figure 9 runs even with no disk cache.
+        # cases), so chained derived experiments and core-count columns in
+        # one engine share the Figure 9 runs even with no disk cache.
         self._sweep_memo: dict = {}
         # Failures of partial (keep-going) sweeps, by memo key: a
         # memo-served partial sweep must re-report its losses, so callers
@@ -195,7 +197,8 @@ class ExperimentEngine:
         # result for a complete one.
         self._partial_memo: dict = {}
         # The persistent execution backend, built lazily on first use and
-        # shared by every sweep/grid/scaling phase this engine drives.
+        # shared by every sweep, core-count and scaling phase this engine
+        # drives.
         self._executor: Optional[ExecutorBackend] = None
 
     @property
@@ -280,120 +283,156 @@ class ExperimentEngine:
 
         Returns exactly what the underlying :data:`EXPERIMENTS` runner
         returns, so callers migrating from direct calls keep their types.
-        ``quick``/``scale``/``cases`` select the benchmark sweep inputs and
-        ``num_tasks`` the micro-benchmark length of the overhead-based
-        experiments; ``core_counts``/``runtimes`` parameterise the
-        ``scaling_curves`` grid; ``scenario`` applies a stochastic
+        ``num_workers`` is the simulated core count: the experiment runs
+        on ``config.with_cores(num_workers)`` (default: the engine's
+        config), so a run's machine and the MTT bounds it is drawn
+        against always agree.  ``quick``/``scale``/``cases`` select the
+        benchmark sweep inputs and ``num_tasks`` the micro-benchmark
+        length of the overhead-based experiments;
+        ``core_counts``/``runtimes`` parameterise the ``scaling_curves``
+        grid; ``scenario`` applies a stochastic
         :class:`~repro.scenario.ScenarioSpec` to the benchmark sweeps
         (canonicalised, so the default spec behaves exactly like ``None``);
         irrelevant knobs are ignored per experiment.
         """
-        spec = EXPERIMENT_SPECS.get(experiment_id)
-        if spec is None:
-            raise EvaluationError(
-                f"unknown experiment {experiment_id!r}"
-                f"{suggest(experiment_id, list(EXPERIMENT_SPECS))}"
-            )
+        self._check_experiment(experiment_id)
+        config = (self.config if num_workers is None
+                  else self.config.with_cores(num_workers))
         self._ensure_run_span()
         with self.tracer.span(experiment_id, "phase",
                               quick=quick, scale=scale):
-            if experiment_id == "scaling_curves":
-                result = self._run_scaling(quick, scale, cases, core_counts,
-                                           runtimes, scenario=scenario)
-            elif experiment_id == "figure9":
-                result = self._run_sweep(quick, scale, num_workers, cases,
-                                         runtimes=runtimes,
-                                         scenario=scenario)
-            elif spec.is_derived:
-                result = self._run_derived(experiment_id, quick, scale,
-                                           num_workers, num_tasks, cases,
-                                           scenario=scenario)
-            else:
-                result = self._run_simple(experiment_id, num_tasks)
+            result = self._compute(experiment_id, config, quick, scale,
+                                   num_tasks, cases, runtimes, scenario,
+                                   core_counts=core_counts)
         if self.artifacts is not None:
             self.artifacts.save(experiment_id, result,
                                 quick=quick, scale=scale)
         return result
 
-    def run_grid(
+    def run_cores(
         self,
-        grid: SweepGrid,
+        experiment_id: str,
+        core_counts: Sequence[int],
+        *,
         quick: bool = False,
         scale: float = 1.0,
         num_tasks: Optional[int] = None,
         cases: Optional[Sequence[BenchmarkCase]] = None,
         runtimes: Optional[Sequence[str]] = None,
         scenario: Optional[ScenarioSpec] = None,
-    ) -> List[GridResult]:
-        """Execute every point of ``grid`` and return its results in order.
+    ) -> List[Tuple[int, object]]:
+        """Run ``experiment_id`` once per simulated core count.
 
-        All benchmark-sweep work behind the grid — every (case × config
-        override) unit of every figure9-backed point — is batched through
-        *one* process-pool invocation and the shared result cache before
-        the points are assembled, so grid wall-clock tracks total work and
-        repeated columns are pure cache hits.  ``runtimes`` selects the
-        case runtimes of figure9-backed points (default: the registry's
-        case set).
+        Returns ``(count, result)`` pairs in ``core_counts`` order; each
+        result equals ``run(experiment_id, num_workers=count, ...)``.  The
+        benchmark-sweep work behind every figure9-backed count is batched
+        through *one* process-pool invocation and the shared result cache
+        before the results are assembled, so wall-clock tracks total work
+        and repeated columns are pure cache hits.  ``runtimes`` selects
+        the case runtimes of ``figure9`` (derived figures always compare
+        the paper's runtimes).  ``scaling_curves`` already sweeps core
+        counts, so it is rejected here: pass ``core_counts`` to
+        :meth:`run` instead.
         """
-        points = grid.points()
+        self._check_experiment(experiment_id)
+        if experiment_id == "scaling_curves":
+            raise EvaluationError(
+                "scaling_curves already sweeps core counts; use "
+                "run('scaling_curves', core_counts=...) instead")
+        configs = [self.config.with_cores(count) for count in core_counts]
         self._ensure_run_span()
-        with self.tracer.span("grid", "phase", points=len(points),
+        with self.tracer.span("grid", "phase", points=len(configs),
                               quick=quick, scale=scale):
-            self._prime_grid_sweeps(points, quick, scale, cases,
-                                    runtimes=runtimes, scenario=scenario)
-            results = [
-                GridResult(point, self._run_point(point, quick, scale,
-                                                  num_tasks, cases,
-                                                  runtimes, scenario))
-                for point in points
+            if experiment_id == "figure9":
+                self._prime_sweeps(configs, quick, scale, cases,
+                                   runtimes=runtimes, scenario=scenario)
+            elif EXPERIMENT_SPECS[experiment_id].depends_on == ("figure9",):
+                # Derived figures always sweep the paper's runtimes.
+                self._prime_sweeps(configs, quick, scale, cases,
+                                   scenario=scenario)
+            return [
+                (count, self._compute(experiment_id, config, quick, scale,
+                                      num_tasks, cases, runtimes, scenario))
+                for count, config in zip(core_counts, configs)
             ]
-        return results
 
     # ------------------------------------------------------------------ #
     # Execution strategies
     # ------------------------------------------------------------------ #
-    def _sweep_inputs(
+    @staticmethod
+    def _check_experiment(experiment_id: str) -> None:
+        if experiment_id not in EXPERIMENT_SPECS:
+            raise EvaluationError(
+                f"unknown experiment {experiment_id!r}"
+                f"{suggest(experiment_id, list(EXPERIMENT_SPECS))}"
+            )
+
+    def _compute(
         self,
-        point_config: SimConfig,
+        experiment_id: str,
+        config: SimConfig,
         quick: bool,
         scale: float,
-        num_workers: Optional[int],
+        num_tasks: Optional[int],
+        cases: Optional[Sequence[BenchmarkCase]],
+        runtimes: Optional[Sequence[str]],
+        scenario: Optional[ScenarioSpec],
+        core_counts: Optional[Sequence[int]] = None,
+    ) -> object:
+        """Compute one experiment on ``config``: the one dispatch.
+
+        Derived experiments always sweep the default runtimes: they
+        hard-code the paper's comparison.
+        """
+        if experiment_id == "scaling_curves":
+            return self._run_scaling(config, quick, scale, cases,
+                                     core_counts, runtimes, scenario)
+        if experiment_id == "figure9":
+            return self._run_sweep(config, quick, scale, cases, runtimes,
+                                   scenario)
+        if EXPERIMENT_SPECS[experiment_id].is_derived:
+            return self._run_derived(experiment_id, config, quick, scale,
+                                     num_tasks, cases, scenario)
+        return self._run_simple(experiment_id, config, num_tasks)
+
+    def _sweep_inputs(
+        self,
+        config: SimConfig,
+        quick: bool,
+        scale: float,
         cases: Optional[Sequence[BenchmarkCase]],
         runtimes: Optional[Sequence[str]] = None,
         scenario: Optional[ScenarioSpec] = None,
     ):
         """The (workers, cases, selection, spec, memo key) of one sweep.
 
-        The memo key folds the worker count into the configuration
+        The sweep runs ``config.machine.num_cores`` workers; the memo key
+        canonicalises that count into the configuration
         (:func:`~repro.harness.hashing.canonical_case_config`) exactly like
-        the disk cache, so a scaling column at N cores and a direct
-        ``num_workers=N`` sweep share one in-memory entry too.  The
-        canonical scenario (``None`` for the default) is a key component,
-        so seeded stochastic sweeps never alias deterministic ones.
+        the disk cache.  The canonical scenario (``None`` for the default)
+        is a key component, so seeded stochastic sweeps never alias
+        deterministic ones.
         """
-        workers = (num_workers if num_workers is not None
-                   else point_config.machine.num_cores)
+        workers = config.machine.num_cores
         selected = (list(cases) if cases is not None
                     else benchmark_cases(quick, scale))
         selection = canonical_runtime_selection(runtimes)
         spec = canonical_scenario(scenario)
-        memo_key = (canonical_case_config(point_config, workers),
+        memo_key = (canonical_case_config(config, workers),
                     tuple(selected), selection, spec)
         return workers, selected, selection, spec, memo_key
 
     def _run_sweep(
         self,
+        config: SimConfig,
         quick: bool,
         scale: float,
-        num_workers: Optional[int],
         cases: Optional[Sequence[BenchmarkCase]],
-        config: Optional[SimConfig] = None,
         runtimes: Optional[Sequence[str]] = None,
         scenario: Optional[ScenarioSpec] = None,
     ) -> List[BenchmarkRun]:
-        config = config if config is not None else self.config
         workers, selected, selection, spec, memo_key = self._sweep_inputs(
-            config, quick, scale, num_workers, cases, runtimes, scenario)
+            config, quick, scale, cases, runtimes, scenario)
         if memo_key in self._sweep_memo:
             # A memo-served *partial* sweep re-reports its failures, so
             # the result is never mistaken for a complete one.
@@ -415,46 +454,29 @@ class ExperimentEngine:
         self._sweep_memo[memo_key] = runs
         return list(runs)
 
-    def _prime_grid_sweeps(
+    def _prime_sweeps(
         self,
-        points: Sequence[GridPoint],
+        configs: Sequence[SimConfig],
         quick: bool,
         scale: float,
         cases: Optional[Sequence[BenchmarkCase]],
-        base_config: Optional[SimConfig] = None,
         runtimes: Optional[Sequence[str]] = None,
         scenario: Optional[ScenarioSpec] = None,
     ) -> None:
-        """Batch the benchmark units of every sweep-backed grid point.
+        """Batch the benchmark units of one sweep per config.
 
-        Collects the (config × case) units of every figure9-backed point
-        that is not already memoised, executes them through one
-        :func:`run_case_grid` call (one pool, shared cache), then memoises
-        the per-point run lists so :meth:`_run_point` assembly is pure
-        lookup.
+        Collects the (config × case) units of every sweep that is not
+        already memoised, executes them through one :func:`run_case_grid`
+        call (one pool, shared cache), then memoises the per-config run
+        lists so the :meth:`_run_sweep` calls that follow are pure lookup.
         """
-        base_config = (base_config if base_config is not None
-                       else self.config)
         pending: List[tuple] = []  # (memo_key, config, workers, cases,
         #                            selection, scenario)
         seen = set()
-        for point in points:
-            exp_spec = EXPERIMENT_SPECS[point.experiment_id]
-            if point.experiment_id != "figure9" \
-                    and exp_spec.depends_on != ("figure9",):
-                continue
-            if point.experiment_id == "scaling_curves":
-                continue  # runs its own nested grid
-            config = point.apply(base_config)
-            # Derived figures hard-code the paper's comparison and their
-            # assembly path (_run_derived) always sweeps the default
-            # runtimes — priming them under a selection would batch units
-            # the assembly never looks up.
-            point_runtimes = (runtimes if point.experiment_id == "figure9"
-                              else None)
+        for config in configs:
             workers, selected, selection, spec, memo_key = \
-                self._sweep_inputs(config, quick, scale, None, cases,
-                                   point_runtimes, scenario)
+                self._sweep_inputs(config, quick, scale, cases, runtimes,
+                                   scenario)
             if memo_key in self._sweep_memo or memo_key in seen:
                 continue
             seen.add(memo_key)
@@ -476,52 +498,24 @@ class ExperimentEngine:
                              tracer=self.tracer)
         self.unit_failures.extend(failures)
         # Results are slot-aligned with the submitted units (failed slots
-        # are None under keep-going), so per-point slicing stays correct
-        # even for partial sweeps; each point memoises its completed runs
+        # are None under keep-going), so per-config slicing stays correct
+        # even for partial sweeps; each config memoises its completed runs
         # and, when partial, the failures that belong to its slot range.
         offset = 0
         for memo_key, _config, _workers, selected, _sel, _spec in pending:
-            point_runs = runs[offset:offset + len(selected)]
-            self._sweep_memo[memo_key] = [run for run in point_runs
+            config_runs = runs[offset:offset + len(selected)]
+            self._sweep_memo[memo_key] = [run for run in config_runs
                                           if run is not None]
-            point_failures = tuple(
+            config_failures = tuple(
                 failure for failure in failures
                 if offset <= failure.slot < offset + len(selected))
-            if point_failures:
-                self._partial_memo[memo_key] = point_failures
+            if config_failures:
+                self._partial_memo[memo_key] = config_failures
             offset += len(selected)
 
-    def _run_point(
-        self,
-        point: GridPoint,
-        quick: bool,
-        scale: float,
-        num_tasks: Optional[int],
-        cases: Optional[Sequence[BenchmarkCase]],
-        runtimes: Optional[Sequence[str]] = None,
-        scenario: Optional[ScenarioSpec] = None,
-    ) -> object:
-        """Execute one grid point under its overridden configuration."""
-        config = point.apply(self.config)
-        experiment_id = point.experiment_id
-        spec = EXPERIMENT_SPECS[experiment_id]
-        if experiment_id == "scaling_curves":
-            return self._run_scaling(quick, scale, cases, None, runtimes,
-                                     config=config, scenario=scenario)
-        if experiment_id == "figure9":
-            return self._run_sweep(quick, scale, None, cases, config=config,
-                                   runtimes=runtimes, scenario=scenario)
-        if spec.is_derived:
-            return self._run_derived(experiment_id, quick, scale, None,
-                                     num_tasks, cases, config=config,
-                                     scenario=scenario)
-        return self._run_simple(experiment_id, num_tasks, config=config)
-
-    def _run_simple(self, experiment_id: str,
-                    num_tasks: Optional[int],
-                    config: Optional[SimConfig] = None) -> object:
+    def _run_simple(self, experiment_id: str, config: SimConfig,
+                    num_tasks: Optional[int]) -> object:
         """Self-contained experiments: run the registry runner, cached."""
-        config = config if config is not None else self.config
         runner = EXPERIMENT_SPECS[experiment_id].runner
         parameters = {}
         if experiment_id in _DEFAULT_NUM_TASKS:
@@ -536,9 +530,8 @@ class ExperimentEngine:
         )
 
     def _run_cached(self, experiment_id: str, parameters: dict,
-                    compute, config: Optional[SimConfig] = None) -> object:
+                    compute, config: SimConfig) -> object:
         """Whole-result caching for the non-sweep experiments."""
-        config = config if config is not None else self.config
         key = None
         if self.cache is not None:
             key = experiment_cache_key(experiment_id, config, parameters)
@@ -557,16 +550,18 @@ class ExperimentEngine:
     def _run_derived(
         self,
         experiment_id: str,
+        config: SimConfig,
         quick: bool,
         scale: float,
-        num_workers: Optional[int],
         num_tasks: Optional[int],
         cases: Optional[Sequence[BenchmarkCase]],
-        config: Optional[SimConfig] = None,
         scenario: Optional[ScenarioSpec] = None,
     ) -> object:
-        """Experiments computed from the Figure 9 sweep."""
-        config = config if config is not None else self.config
+        """Experiments computed from the Figure 9 sweep on ``config``.
+
+        Figure 10's MTT bounds are measured on the same ``config``, so
+        they are capped at the core count its runs use.
+        """
         spec = EXPERIMENT_SPECS[experiment_id]
         if spec.depends_on != ("figure9",):
             raise EvaluationError(
@@ -576,8 +571,8 @@ class ExperimentEngine:
         # Dependency runs go through _run_sweep directly (not self.run) so
         # they share the memo/cache without re-saving the figure9 artifact
         # once per derived experiment.
-        runs = self._run_sweep(quick, scale, num_workers, cases,
-                               config=config, scenario=scenario)
+        runs = self._run_sweep(config, quick, scale, cases,
+                               scenario=scenario)
         runner = spec.runner
         if experiment_id == "figure10":
             # Figure 10 overlays the runs on the MTT bound curves, which
@@ -621,22 +616,21 @@ class ExperimentEngine:
 
     def _run_scaling(
         self,
+        config: SimConfig,
         quick: bool,
         scale: float,
         cases: Optional[Sequence[BenchmarkCase]],
         core_counts: Optional[Sequence[int]],
         runtimes: Optional[Sequence[str]],
-        config: Optional[SimConfig] = None,
         scenario: Optional[ScenarioSpec] = None,
     ) -> object:
         """The scaling-curve grid: every case at every core count.
 
         Fans the (case × core count) product through the shared pool/cache
-        via :meth:`run_grid` machinery, measures (and caches) the
+        in one :meth:`_prime_sweeps` batch, measures (and caches) the
         single-worker lifetime overheads behind the MTT bounds, and
         assembles :class:`~repro.eval.scaling.ScalingCurve` records.
         """
-        config = config if config is not None else self.config
         counts = normalize_core_counts(core_counts)
         selected_runtimes = normalize_runtimes(runtimes)
         # Whole-result caching under a grid-aware key: a warm re-run skips
@@ -673,20 +667,15 @@ class ExperimentEngine:
                         isinstance(curve, ScalingCurve) for curve in curves):
                     return curves
                 self.cache.demote_hit(key)
-        grid = SweepGrid.cores(("figure9",), counts)
-        points = grid.points()
+        configs = [config.with_cores(count) for count in counts]
         failures_before = len(self.unit_failures)
-        self._prime_grid_sweeps(points, quick, scale, cases,
-                                base_config=config,
-                                runtimes=selected_runtimes,
-                                scenario=scenario)
-        runs_by_cores: Dict[int, List[BenchmarkRun]] = {}
-        for point in points:
-            point_config = point.apply(config)
-            cores = point_config.machine.num_cores
-            runs_by_cores[cores] = self._run_sweep(
-                quick, scale, None, cases, config=point_config,
-                runtimes=selected_runtimes, scenario=scenario)
+        self._prime_sweeps(configs, quick, scale, cases,
+                           runtimes=selected_runtimes, scenario=scenario)
+        runs_by_cores: Dict[int, List[BenchmarkRun]] = {
+            count: self._run_sweep(count_config, quick, scale, cases,
+                                   selected_runtimes, scenario)
+            for count, count_config in zip(counts, configs)
+        }
         partial = len(self.unit_failures) > failures_before
         if partial:
             # Keep-going mode with failures: assemble curves from the

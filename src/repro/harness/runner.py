@@ -190,36 +190,9 @@ def _register_payload(builders: Dict[str, object],
         _SCENARIO_ENSURES[kind](name, factory)
 
 
-def _execute_case(config: SimConfig, case: BenchmarkCase, num_workers: int,
-                  runtimes: Optional[Tuple[str, ...]] = None,
-                  plugin_builder: Optional[object] = None,
-                  plugin_runtimes: Optional[Dict] = None,
-                  plugin_files: Tuple[str, ...] = (),
-                  scenario: Optional[ScenarioSpec] = None,
-                  plugin_scenarios: Optional[Dict] = None,
-                  ) -> Tuple[BenchmarkRun, float]:
-    """Single-unit worker entry point: run and time one case.
-
-    Returns ``(run, wall_seconds)``; both halves are picklable so the pair
-    travels back from worker processes unchanged.  Timing happens here, in
-    the worker, so parallel sweeps measure simulation cost rather than pool
-    scheduling latency.  The ``plugin_*`` parameters carry plugin
-    registrations into workers whose registry only holds the built-ins
-    (see :func:`_plugin_payload`).
-    """
-    builders = ({case.builder: plugin_builder}
-                if plugin_builder is not None else {})
-    _register_payload(builders, plugin_runtimes or {}, plugin_files,
-                      plugin_scenarios)
-    started = time.perf_counter()
-    run = run_benchmark_case(case, config, num_workers, runtimes,
-                             scenario=scenario)
-    return run, time.perf_counter() - started
-
-
 def _execute_batch(payload: Tuple[Dict, Dict, Tuple, Dict],
                    tasks: Tuple[Tuple, ...]) -> List[Tuple]:
-    """Batched worker entry point with per-unit failure isolation.
+    """Worker entry point: run and time a batch of units, each isolated.
 
     ``payload`` is the merged plugin payload of the whole batch,
     registered once per dispatch (and a no-op in a warm worker that

@@ -197,9 +197,9 @@ class TestPluginTransport:
 
     def test_plugin_workload_survives_worker_boundary(self, tiny_config):
         # Simulate a spawned worker: the plugin is absent from the
-        # registry when _execute_case runs, and the shipped builder
+        # registry when _execute_batch runs, and the shipped builder
         # payload re-registers it.
-        from repro.harness.runner import CaseUnit, _execute_case, \
+        from repro.harness.runner import CaseUnit, _execute_batch, \
             _plugin_payload, run_cases
         from tests.helpers import plugin_chain_builder
 
@@ -221,9 +221,11 @@ class TestPluginTransport:
             registry.WORKLOADS.remove(name)
         # Worker side: registry no longer knows the name; the payload
         # must be enough to execute the unit.
-        run, _seconds = _execute_case(tiny_config, cases[0], 2, None,
-                                      plugin_chain_builder, None)
+        [(status, run, _seconds)] = _execute_batch(
+            ({cases[0].builder: plugin_chain_builder}, {}, (), {}),
+            ((tiny_config, cases[0], 2, None, None),))
         try:
+            assert status == "ok"
             assert run.results["serial"].elapsed_cycles > 0
         finally:
             registry.WORKLOADS.remove(name)
@@ -263,7 +265,7 @@ class TestPluginTransport:
         # re-load the file (firing its @register_workload) before running.
         import sys
 
-        from repro.harness.runner import CaseUnit, _execute_case, \
+        from repro.harness.runner import CaseUnit, _execute_batch, \
             _plugin_payload
         from repro.registry import PLUGIN_MODULE_PREFIX, load_plugin
 
@@ -291,8 +293,10 @@ class TestPluginTransport:
                                 if m.startswith(PLUGIN_MODULE_PREFIX)]:
                 del sys.modules[module_name]
             registry.WORKLOADS.remove("file-plug-wl")
-            run, _seconds = _execute_case(
-                tiny_config, cases[0], 2, None, None, None, plugin_files)
+            [(status, run, _seconds)] = _execute_batch(
+                ({}, {}, plugin_files, {}),
+                ((tiny_config, cases[0], 2, None, None),))
+            assert status == "ok"
             assert run.results["serial"].elapsed_cycles > 0
         finally:
             registry.WORKLOADS.remove("file-plug-wl")
@@ -346,11 +350,10 @@ class TestPluginTransport:
 class TestDerivedGridSelection:
     def test_derived_grid_points_ignore_runtime_selection(self, tiny_config,
                                                           monkeypatch):
-        # A runtimes selection on a grid containing derived points must
-        # not prime units the derived assembly never looks up: after
+        # A runtimes selection on core-count columns of a derived figure
+        # must not prime units the derived assembly never looks up: after
         # priming, assembly is pure memo lookup (no second sweep).
         import repro.harness.engine as engine_module
-        from repro.harness.sweep import SweepGrid
 
         calls = {"run_cases": 0}
         real_run_cases = engine_module.run_cases
@@ -362,10 +365,10 @@ class TestDerivedGridSelection:
         monkeypatch.setattr(engine_module, "run_cases", counting_run_cases)
         engine = ExperimentEngine(config=tiny_config)
         cases = benchmark_cases(quick=True, scale=0.1)[:1]
-        results = engine.run_grid(SweepGrid.cores(("figure8",), [2]),
-                                  cases=cases, runtimes=["nanos-axi"])
+        results = engine.run_cores("figure8", [2], cases=cases,
+                                   runtimes=["nanos-axi"])
         assert calls["run_cases"] == 0  # assembly fully memo-served
-        assert results[0].result  # granularity points came back
+        assert results[0][1]  # granularity points came back
 
 
 class TestCliRegistrySurface:

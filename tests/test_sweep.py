@@ -1,6 +1,7 @@
 """Tests for grid sweeps and the scaling-curves experiment.
 
-Covers the SweepGrid product/override machinery, the grid runner's
+Covers ``ExperimentEngine.run_cores`` (one experiment per simulated core
+count, agreeing with ``run(num_workers=N)``), the grid runner's
 parallel==serial determinism, cache behaviour (hits independent of the
 host-process fan-out, the 8-core scaling column sharing Figure 9 entries),
 scaling-curve semantics against the MTT bound, the EvaluationError
@@ -36,10 +37,7 @@ from repro.eval.scaling import (
 from repro.harness import (
     CaseUnit,
     ExperimentEngine,
-    GridPoint,
     ShardedDiskStore,
-    SweepGrid,
-    apply_overrides,
     case_cache_key,
     decode,
     encode,
@@ -81,43 +79,49 @@ def _make_run(case_key, cores, speedups, serial=1000):
     return run
 
 
-class TestSweepGrid:
-    def test_points_are_the_cartesian_product(self):
-        grid = SweepGrid(("figure9", "table2"),
-                         [{"num_cores": 2}, {"num_cores": 4}])
-        labels = [point.label for point in grid.points()]
-        assert labels == [
-            "figure9[num_cores=2]", "figure9[num_cores=4]",
-            "table2[num_cores=2]", "table2[num_cores=4]",
-        ]
-        assert len(grid) == 4
+class TestRunCores:
+    def test_unknown_experiment_rejected(self, tiny_config):
+        engine = ExperimentEngine(config=tiny_config)
+        with pytest.raises(EvaluationError, match="did you mean 'figure9'"):
+            engine.run_cores("figure99", [2])
 
-    def test_cores_classmethod(self):
-        grid = SweepGrid.cores(("figure9",), (1, 8))
-        assert [dict(p.overrides) for p in grid.points()] == \
-            [{"num_cores": 1}, {"num_cores": 8}]
+    def test_scaling_curves_rejected(self, tiny_config):
+        engine = ExperimentEngine(config=tiny_config)
+        with pytest.raises(EvaluationError, match="core_counts"):
+            engine.run_cores("scaling_curves", [2])
 
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(EvaluationError):
-            SweepGrid(("figure99",))
-        with pytest.raises(EvaluationError):
-            SweepGrid(())
+    def test_figure10_bounds_capped_at_run_core_count(self, tiny_config,
+                                                      tiny_cases):
+        # The runs and the MTT bounds they are drawn against must share
+        # one core count: min(N, t/Lo) is capped at N = 2 here.
+        engine = ExperimentEngine(config=tiny_config)
+        comparisons = engine.run("figure10", num_workers=2,
+                                 cases=tiny_cases[:1], num_tasks=20)
+        assert comparisons
+        assert all(bound.max_speedup <= 2.0
+                   for comparison in comparisons.values()
+                   for bound in comparison.bound)
+        [(count, column)] = engine.run_cores("figure10", [2],
+                                             cases=tiny_cases[:1],
+                                             num_tasks=20)
+        assert count == 2
+        assert column == comparisons
 
-    def test_apply_overrides_machine_and_simconfig_fields(self):
-        config = SimConfig()
-        tweaked = apply_overrides(config, {"num_cores": 16,
-                                           "max_cycles": 123})
-        assert tweaked.machine.num_cores == 16
-        assert tweaked.max_cycles == 123
-        # Untouched fields carry over.
-        assert tweaked.machine.l1_size_bytes == config.machine.l1_size_bytes
-        with pytest.raises(EvaluationError):
-            apply_overrides(config, {"turbo": True})
+    def test_table2_follows_num_workers(self, tiny_config):
+        engine = ExperimentEngine(config=tiny_config)
+        two_cores = engine.run("table2", num_workers=2)
+        columns = dict(engine.run_cores("table2", [2, 4]))
+        assert two_cores == columns[2]
+        assert two_cores != engine.run("table2")
 
-    def test_point_apply_and_default_label(self):
-        point = GridPoint("figure9")
-        assert point.label == "figure9"
-        assert point.apply(SimConfig()) == SimConfig()
+    def test_run_cores_over_non_sweep_experiment(self, tmp_path,
+                                                 tiny_config):
+        engine = ExperimentEngine(config=tiny_config, cache_dir=tmp_path)
+        results = engine.run_cores("table2", (2, 4))
+        assert [count for count, _result in results] == [2, 4]
+        # Re-running the columns is served from the whole-result cache.
+        assert engine.run_cores("table2", (2, 4)) == results
+        assert engine.cache_stats.hits >= 2
 
 
 class TestGridHashing:
@@ -351,16 +355,6 @@ class TestScalingExperiment:
         via_engine = engine.run("scaling_curves", cases=tiny_cases[:1],
                                 core_counts=(1, 2), runtimes=("phentos",))
         assert direct == via_engine
-
-    def test_run_grid_over_non_sweep_experiment(self, tmp_path, tiny_config):
-        engine = ExperimentEngine(config=tiny_config, cache_dir=tmp_path)
-        grid = SweepGrid.cores(("table2",), (2, 4))
-        results = engine.run_grid(grid)
-        assert [item.point.label for item in results] == \
-            ["table2[num_cores=2]", "table2[num_cores=4]"]
-        # Re-running the grid is served from the whole-result cache.
-        engine.run_grid(grid)
-        assert engine.cache_stats.hits >= 2
 
 
 class TestEvaluationErrorWrapping:
