@@ -37,6 +37,10 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "_notify", "_land",
     }),
     "repro/sim/arbiters.py": frozenset({"_kick", "_grant"}),
+    "repro/memory/mesi.py": frozenset({"access"}),
+    "repro/memory/hierarchy.py": frozenset({
+        "_access", "load", "store", "atomic_rmw",
+    }),
     "repro/picos/device.py": frozenset({
         "_submission_pipeline", "_insert_task", "_retirement_pipeline",
         "_kick_emitter", "_emit_ready",

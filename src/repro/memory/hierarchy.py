@@ -25,14 +25,22 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.config import CACHE_LINE_BYTES, MemoryCosts
 from repro.common.errors import MemoryModelError
 from repro.common.stats import Stats
-from repro.memory.address import AddressAllocator, MemoryRegion, span_lines
+from repro.memory.address import AddressAllocator, MemoryRegion
 from repro.memory.mesi import AccessType, CoherenceDirectory
 
 __all__ = ["MemorySystem", "SharedCounter", "SharedFlag", "SoftwareMutex"]
 
+# Members resolved once, so the per-access path reads no enum attribute.
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
+_RMW = AccessType.RMW
+
 
 class MemorySystem:
     """Chip-level memory model: one coherence directory + an allocator."""
+
+    __slots__ = ("num_cores", "costs", "line_bytes", "stats", "directory",
+                 "allocator", "_computing_cores")
 
     def __init__(self, num_cores: int, costs: MemoryCosts,
                  line_bytes: int = CACHE_LINE_BYTES) -> None:
@@ -88,31 +96,30 @@ class MemorySystem:
     # ------------------------------------------------------------------ #
     def load(self, core: int, address: int, size: int = 8) -> int:
         """Cycles for ``core`` to read ``size`` bytes at ``address``."""
-        return self._access(core, address, size, AccessType.READ)
+        return self._access(core, address, size, _READ)
 
     def store(self, core: int, address: int, size: int = 8) -> int:
         """Cycles for ``core`` to write ``size`` bytes at ``address``."""
-        return self._access(core, address, size, AccessType.WRITE)
+        return self._access(core, address, size, _WRITE)
 
     def atomic_rmw(self, core: int, address: int, size: int = 8) -> int:
         """Cycles for an atomic read-modify-write by ``core``."""
-        return self._access(core, address, size, AccessType.RMW)
-
-    def touch_lines(self, core: int, region: MemoryRegion,
-                    write: bool = False) -> int:
-        """Access every line of ``region`` once; returns total cycles."""
-        kind = AccessType.WRITE if write else AccessType.READ
-        cycles = 0
-        for line in region.lines:
-            cycles += self.directory.access(core, line, kind).cycles
-        return cycles
+        return self._access(core, address, size, _RMW)
 
     def _access(self, core: int, address: int, size: int, kind: AccessType) -> int:
         if size <= 0:
             raise MemoryModelError("access size must be positive")
+        if address < 0:
+            raise MemoryModelError(f"negative address {address:#x}")
+        line_bytes = self.line_bytes
+        first = address // line_bytes
+        last = (address + size - 1) // line_bytes
+        if first == last:
+            return self.directory.access(core, first, kind)
+        access = self.directory.access
         cycles = 0
-        for line in span_lines(address, size, self.line_bytes):
-            cycles += self.directory.access(core, line, kind).cycles
+        for line in range(first, last + 1):
+            cycles += access(core, line, kind)
         return cycles
 
     # ------------------------------------------------------------------ #
@@ -227,6 +234,9 @@ class SoftwareMutex:
     release by a core that lost the holder race to a later acquirer is
     charged normally and leaves the newer holder in place.
     """
+
+    __slots__ = ("memory", "region", "syscall_cycles", "uncontended_spins",
+                 "holder", "acquisitions", "contended_acquisitions")
 
     def __init__(self, memory: MemorySystem, region: MemoryRegion,
                  syscall_cycles: int, uncontended_spins: int) -> None:

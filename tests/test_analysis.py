@@ -180,6 +180,32 @@ def test_hotpath_covers_picos_device_pipelines(tmp_path):
     assert "isinstance() in hot function '_insert_task'" in messages
 
 
+def test_hotpath_covers_memory_access_path(tmp_path):
+    mesi = ("import enum\n"
+            "class LineState(enum.Enum):\n"
+            "    SHARED = 'S'\n"
+            "class Directory:\n"
+            "    __slots__ = ()\n"
+            "    def access(self, core, line, kind):\n"
+            "        return isinstance(kind, int)\n")
+    findings = lint_snippet(tmp_path, "src/repro/memory/mesi.py", mesi,
+                            rules=["hot-path"])
+    messages = "\n".join(f.message for f in findings)
+    assert "class 'LineState' in a hot module" in messages
+    assert "isinstance() in hot function 'access'" in messages
+    hierarchy = ("class MemorySystem:\n"
+                 "    __slots__ = ()\n"
+                 "    def _access(self, core, address, size, kind):\n"
+                 "        return sum(n for n in range(size))\n"
+                 "    def load(self, core, address, size=8):\n"
+                 "        return isinstance(size, int)\n")
+    findings = lint_snippet(tmp_path, "src/repro/memory/hierarchy.py",
+                            hierarchy, rules=["hot-path"])
+    messages = "\n".join(f.message for f in findings)
+    assert "generator expression in hot function '_access'" in messages
+    assert "isinstance() in hot function 'load'" in messages
+
+
 def test_hotpath_dataclasses_are_slots_exempt(tmp_path):
     source = ("from dataclasses import dataclass\n"
               "@dataclass\n"

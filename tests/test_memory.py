@@ -91,60 +91,65 @@ class TestCoherenceDirectory:
         self.costs = MemoryCosts()
         self.directory = CoherenceDirectory(4, self.costs)
 
+    def counter(self, name):
+        return self.directory.stats.counter(name)
+
     def test_cold_read_is_exclusive_miss(self):
-        result = self.directory.access(0, 100, AccessType.READ)
-        assert not result.hit
-        assert result.new_state is LineState.EXCLUSIVE
-        assert result.cycles == self.costs.l1_miss_to_memory
+        cycles = self.directory.access(0, 100, AccessType.READ)
+        assert self.counter("misses") == 1
+        assert self.counter("hits") == 0
+        assert self.directory.state_of(0, 100) is LineState.EXCLUSIVE
+        assert cycles == self.costs.l1_miss_to_memory
 
     def test_repeat_read_hits(self):
         self.directory.access(0, 100, AccessType.READ)
-        result = self.directory.access(0, 100, AccessType.READ)
-        assert result.hit
-        assert result.cycles == self.costs.l1_hit
+        cycles = self.directory.access(0, 100, AccessType.READ)
+        assert self.counter("hits") == 1
+        assert cycles == self.costs.l1_hit
 
     def test_second_reader_shares_line(self):
         self.directory.access(0, 100, AccessType.READ)
-        result = self.directory.access(1, 100, AccessType.READ)
-        assert result.new_state is LineState.SHARED
+        self.directory.access(1, 100, AccessType.READ)
+        assert self.directory.state_of(1, 100) is LineState.SHARED
         assert self.directory.state_of(0, 100) is LineState.SHARED
         assert self.directory.sharers(100) == {0, 1}
 
     def test_write_upgrade_invalidates_sharers(self):
         self.directory.access(0, 100, AccessType.READ)
         self.directory.access(1, 100, AccessType.READ)
-        result = self.directory.access(0, 100, AccessType.WRITE)
-        assert result.new_state is LineState.MODIFIED
-        assert result.invalidated == (1,)
+        self.directory.access(0, 100, AccessType.WRITE)
+        assert self.directory.state_of(0, 100) is LineState.MODIFIED
+        assert self.counter("invalidations") == 1
+        assert self.directory.sharers(100) == {0}
         assert self.directory.state_of(1, 100) is LineState.INVALID
 
     def test_dirty_line_travels_through_memory(self):
         self.directory.access(0, 200, AccessType.WRITE)
-        result = self.directory.access(1, 200, AccessType.READ)
-        assert result.writeback_through_memory
-        assert result.cycles == self.costs.dirty_remote_transfer
+        cycles = self.directory.access(1, 200, AccessType.READ)
+        assert self.counter("dirty_transfers_through_memory") == 1
+        assert cycles == self.costs.dirty_remote_transfer
         # After the transfer both copies are Shared (MESI, no owned state).
         assert self.directory.state_of(0, 200) is LineState.SHARED
         assert self.directory.state_of(1, 200) is LineState.SHARED
 
     def test_write_to_remote_dirty_line(self):
         self.directory.access(0, 300, AccessType.WRITE)
-        result = self.directory.access(1, 300, AccessType.WRITE)
-        assert result.writeback_through_memory
+        self.directory.access(1, 300, AccessType.WRITE)
+        assert self.counter("dirty_transfers_through_memory") == 1
         assert self.directory.owner(300) == 1
         assert self.directory.state_of(0, 300) is LineState.INVALID
 
     def test_exclusive_write_is_silent_upgrade(self):
         self.directory.access(0, 400, AccessType.READ)
-        result = self.directory.access(0, 400, AccessType.WRITE)
-        assert result.hit
-        assert result.new_state is LineState.MODIFIED
-        assert result.invalidated == ()
+        self.directory.access(0, 400, AccessType.WRITE)
+        assert self.counter("hits") == 1
+        assert self.directory.state_of(0, 400) is LineState.MODIFIED
+        assert self.counter("invalidations") == 0
 
     def test_atomic_rmw_costs_extra(self):
-        plain = self.directory.access(0, 500, AccessType.WRITE).cycles
+        plain = self.directory.access(0, 500, AccessType.WRITE)
         atomic = self.directory.access(1, 501 * CACHE_LINE_BYTES,
-                                       AccessType.RMW).cycles
+                                       AccessType.RMW)
         assert atomic == plain + self.costs.atomic_rmw_extra
 
     def test_cache_line_bouncing_is_expensive(self):
@@ -152,7 +157,7 @@ class TestCoherenceDirectory:
         self.directory.access(0, 600, AccessType.RMW)
         total = 0
         for i in range(1, 9):
-            total += self.directory.access(i % 2, 600, AccessType.RMW).cycles
+            total += self.directory.access(i % 2, 600, AccessType.RMW)
         assert total >= 8 * self.costs.dirty_remote_transfer
 
     def test_evict_dirty_line_charges_writeback(self):
