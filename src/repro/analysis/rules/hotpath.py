@@ -45,10 +45,7 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
         "_submission_pipeline", "_insert_task", "_retirement_pipeline",
         "_kick_emitter", "_emit_ready",
     }),
-    "repro/runtime/base.py": frozenset({
-        "wait_for_signals", "scenario_release_gate",
-        "scenario_note_completion",
-    }),
+    "repro/runtime/base.py": frozenset({"wait_for_signals"}),
 }
 
 _DATACLASS_DECORATORS = ("dataclass", "dataclasses.dataclass")

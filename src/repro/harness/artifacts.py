@@ -88,7 +88,12 @@ def encode(value: object) -> object:
 
 
 def decode(data: object) -> object:
-    """Inverse of :func:`encode`."""
+    """Inverse of :func:`encode`.
+
+    A tagged record carrying a field its type does not declare (e.g. an
+    artifact written by an older release) raises :class:`EvaluationError`
+    naming the type and the unknown fields.
+    """
     if isinstance(data, dict):
         tag = data.get(_TYPE_TAG)
         if tag == "tuple":
@@ -99,6 +104,12 @@ def decode(data: object) -> object:
                 raise EvaluationError(f"unknown artifact type {tag!r}")
             fields = {name: decode(item)
                       for name, item in data["fields"].items()}
+            unknown = fields.keys() - {spec.name for spec
+                                       in dataclasses.fields(cls)}
+            if unknown:
+                raise EvaluationError(
+                    f"artifact type {tag!r} has no field(s) "
+                    f"{', '.join(sorted(unknown))}")
             return cls(**fields)
         return {key: decode(item) for key, item in data.items()}
     if isinstance(data, list):

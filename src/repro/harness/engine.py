@@ -91,10 +91,8 @@ from repro.harness.hashing import (
     canonical_case_config,
     experiment_cache_key,
     grid_cache_key,
-    scenario_fingerprint,
 )
 from repro.registry import suggest
-from repro.scenario import ScenarioSpec, canonical_scenario
 from repro.harness.runner import CaseUnit, run_case_grid, run_cases
 from repro.harness.telemetry import (
     ConsoleSink,
@@ -277,7 +275,6 @@ class ExperimentEngine:
         cases: Optional[Sequence[BenchmarkCase]] = None,
         core_counts: Optional[Sequence[int]] = None,
         runtimes: Optional[Sequence[str]] = None,
-        scenario: Optional[ScenarioSpec] = None,
     ) -> object:
         """Run one experiment, chaining its dependencies as needed.
 
@@ -290,10 +287,7 @@ class ExperimentEngine:
         benchmark sweep inputs and ``num_tasks`` the micro-benchmark
         length of the overhead-based experiments;
         ``core_counts``/``runtimes`` parameterise the ``scaling_curves``
-        grid; ``scenario`` applies a stochastic
-        :class:`~repro.scenario.ScenarioSpec` to the benchmark sweeps
-        (canonicalised, so the default spec behaves exactly like ``None``);
-        irrelevant knobs are ignored per experiment.
+        grid; irrelevant knobs are ignored per experiment.
         """
         self._check_experiment(experiment_id)
         config = (self.config if num_workers is None
@@ -302,7 +296,7 @@ class ExperimentEngine:
         with self.tracer.span(experiment_id, "phase",
                               quick=quick, scale=scale):
             result = self._compute(experiment_id, config, quick, scale,
-                                   num_tasks, cases, runtimes, scenario,
+                                   num_tasks, cases, runtimes,
                                    core_counts=core_counts)
         if self.artifacts is not None:
             self.artifacts.save(experiment_id, result,
@@ -319,7 +313,6 @@ class ExperimentEngine:
         num_tasks: Optional[int] = None,
         cases: Optional[Sequence[BenchmarkCase]] = None,
         runtimes: Optional[Sequence[str]] = None,
-        scenario: Optional[ScenarioSpec] = None,
     ) -> List[Tuple[int, object]]:
         """Run ``experiment_id`` once per simulated core count.
 
@@ -345,14 +338,13 @@ class ExperimentEngine:
                               quick=quick, scale=scale):
             if experiment_id == "figure9":
                 self._prime_sweeps(configs, quick, scale, cases,
-                                   runtimes=runtimes, scenario=scenario)
+                                   runtimes=runtimes)
             elif EXPERIMENT_SPECS[experiment_id].depends_on == ("figure9",):
                 # Derived figures always sweep the paper's runtimes.
-                self._prime_sweeps(configs, quick, scale, cases,
-                                   scenario=scenario)
+                self._prime_sweeps(configs, quick, scale, cases)
             return [
                 (count, self._compute(experiment_id, config, quick, scale,
-                                      num_tasks, cases, runtimes, scenario))
+                                      num_tasks, cases, runtimes))
                 for count, config in zip(core_counts, configs)
             ]
 
@@ -376,7 +368,6 @@ class ExperimentEngine:
         num_tasks: Optional[int],
         cases: Optional[Sequence[BenchmarkCase]],
         runtimes: Optional[Sequence[str]],
-        scenario: Optional[ScenarioSpec],
         core_counts: Optional[Sequence[int]] = None,
     ) -> object:
         """Compute one experiment on ``config``: the one dispatch.
@@ -386,13 +377,12 @@ class ExperimentEngine:
         """
         if experiment_id == "scaling_curves":
             return self._run_scaling(config, quick, scale, cases,
-                                     core_counts, runtimes, scenario)
+                                     core_counts, runtimes)
         if experiment_id == "figure9":
-            return self._run_sweep(config, quick, scale, cases, runtimes,
-                                   scenario)
+            return self._run_sweep(config, quick, scale, cases, runtimes)
         if EXPERIMENT_SPECS[experiment_id].is_derived:
             return self._run_derived(experiment_id, config, quick, scale,
-                                     num_tasks, cases, scenario)
+                                     num_tasks, cases)
         return self._run_simple(experiment_id, config, num_tasks)
 
     def _sweep_inputs(
@@ -402,25 +392,21 @@ class ExperimentEngine:
         scale: float,
         cases: Optional[Sequence[BenchmarkCase]],
         runtimes: Optional[Sequence[str]] = None,
-        scenario: Optional[ScenarioSpec] = None,
     ):
-        """The (workers, cases, selection, spec, memo key) of one sweep.
+        """The (workers, cases, selection, memo key) of one sweep.
 
         The sweep runs ``config.machine.num_cores`` workers; the memo key
         canonicalises that count into the configuration
         (:func:`~repro.harness.hashing.canonical_case_config`) exactly like
-        the disk cache.  The canonical scenario (``None`` for the default)
-        is a key component, so seeded stochastic sweeps never alias
-        deterministic ones.
+        the disk cache.
         """
         workers = config.machine.num_cores
         selected = (list(cases) if cases is not None
                     else benchmark_cases(quick, scale))
         selection = canonical_runtime_selection(runtimes)
-        spec = canonical_scenario(scenario)
         memo_key = (canonical_case_config(config, workers),
-                    tuple(selected), selection, spec)
-        return workers, selected, selection, spec, memo_key
+                    tuple(selected), selection)
+        return workers, selected, selection, memo_key
 
     def _run_sweep(
         self,
@@ -429,10 +415,9 @@ class ExperimentEngine:
         scale: float,
         cases: Optional[Sequence[BenchmarkCase]],
         runtimes: Optional[Sequence[str]] = None,
-        scenario: Optional[ScenarioSpec] = None,
     ) -> List[BenchmarkRun]:
-        workers, selected, selection, spec, memo_key = self._sweep_inputs(
-            config, quick, scale, cases, runtimes, scenario)
+        workers, selected, selection, memo_key = self._sweep_inputs(
+            config, quick, scale, cases, runtimes)
         if memo_key in self._sweep_memo:
             # A memo-served *partial* sweep re-reports its failures, so
             # the result is never mistaken for a complete one.
@@ -443,8 +428,7 @@ class ExperimentEngine:
                          cache=self.cache, runtimes=selection,
                          executor=self.executor,
                          keep_going=self.keep_going, retries=self.retries,
-                         failures=failures, tracer=self.tracer,
-                         scenario=spec)
+                         failures=failures, tracer=self.tracer)
         self.unit_failures.extend(failures)
         if failures:
             self._partial_memo[memo_key] = tuple(failures)
@@ -461,7 +445,6 @@ class ExperimentEngine:
         scale: float,
         cases: Optional[Sequence[BenchmarkCase]],
         runtimes: Optional[Sequence[str]] = None,
-        scenario: Optional[ScenarioSpec] = None,
     ) -> None:
         """Batch the benchmark units of one sweep per config.
 
@@ -470,24 +453,21 @@ class ExperimentEngine:
         call (one pool, shared cache), then memoises the per-config run
         lists so the :meth:`_run_sweep` calls that follow are pure lookup.
         """
-        pending: List[tuple] = []  # (memo_key, config, workers, cases,
-        #                            selection, scenario)
+        # (memo_key, config, workers, cases, selection) per pending sweep
+        pending: List[tuple] = []
         seen = set()
         for config in configs:
-            workers, selected, selection, spec, memo_key = \
-                self._sweep_inputs(config, quick, scale, cases, runtimes,
-                                   scenario)
+            workers, selected, selection, memo_key = self._sweep_inputs(
+                config, quick, scale, cases, runtimes)
             if memo_key in self._sweep_memo or memo_key in seen:
                 continue
             seen.add(memo_key)
-            pending.append((memo_key, config, workers, selected, selection,
-                            spec))
+            pending.append((memo_key, config, workers, selected, selection))
         if not pending:
             return
         units = [
-            CaseUnit(config, case, workers, selection, spec)
-            for _memo_key, config, workers, selected, selection, spec
-            in pending
+            CaseUnit(config, case, workers, selection)
+            for _memo_key, config, workers, selected, selection in pending
             for case in selected
         ]
         failures: List[UnitFailure] = []
@@ -502,7 +482,7 @@ class ExperimentEngine:
         # even for partial sweeps; each config memoises its completed runs
         # and, when partial, the failures that belong to its slot range.
         offset = 0
-        for memo_key, _config, _workers, selected, _sel, _spec in pending:
+        for memo_key, _config, _workers, selected, _sel in pending:
             config_runs = runs[offset:offset + len(selected)]
             self._sweep_memo[memo_key] = [run for run in config_runs
                                           if run is not None]
@@ -555,7 +535,6 @@ class ExperimentEngine:
         scale: float,
         num_tasks: Optional[int],
         cases: Optional[Sequence[BenchmarkCase]],
-        scenario: Optional[ScenarioSpec] = None,
     ) -> object:
         """Experiments computed from the Figure 9 sweep on ``config``.
 
@@ -571,8 +550,7 @@ class ExperimentEngine:
         # Dependency runs go through _run_sweep directly (not self.run) so
         # they share the memo/cache without re-saving the figure9 artifact
         # once per derived experiment.
-        runs = self._run_sweep(config, quick, scale, cases,
-                               scenario=scenario)
+        runs = self._run_sweep(config, quick, scale, cases)
         runner = spec.runner
         if experiment_id == "figure10":
             # Figure 10 overlays the runs on the MTT bound curves, which
@@ -622,7 +600,6 @@ class ExperimentEngine:
         cases: Optional[Sequence[BenchmarkCase]],
         core_counts: Optional[Sequence[int]],
         runtimes: Optional[Sequence[str]],
-        scenario: Optional[ScenarioSpec] = None,
     ) -> object:
         """The scaling-curve grid: every case at every core count.
 
@@ -635,8 +612,6 @@ class ExperimentEngine:
         selected_runtimes = normalize_runtimes(runtimes)
         # Whole-result caching under a grid-aware key: a warm re-run skips
         # even the per-case lookups and the bound-overhead measurements.
-        # The scenario fingerprint only enters the key when non-default, so
-        # deterministic scaling keys stay byte-identical to older releases.
         key = None
         if self.cache is not None:
             parameters = {
@@ -649,9 +624,6 @@ class ExperimentEngine:
                     for case in cases
                 ],
             }
-            scenario_payload = scenario_fingerprint(scenario)
-            if scenario_payload is not None:
-                parameters["scenario"] = scenario_payload
             key = grid_cache_key(
                 "scaling_curves", config,
                 [{"num_cores": count} for count in counts],
@@ -670,10 +642,10 @@ class ExperimentEngine:
         configs = [config.with_cores(count) for count in counts]
         failures_before = len(self.unit_failures)
         self._prime_sweeps(configs, quick, scale, cases,
-                           runtimes=selected_runtimes, scenario=scenario)
+                           runtimes=selected_runtimes)
         runs_by_cores: Dict[int, List[BenchmarkRun]] = {
             count: self._run_sweep(count_config, quick, scale, cases,
-                                   selected_runtimes, scenario)
+                                   selected_runtimes)
             for count, count_config in zip(counts, configs)
         }
         partial = len(self.unit_failures) > failures_before

@@ -109,15 +109,16 @@ class Delay(Command):
     _tag = 0
 
     def __new__(cls, cycles: int) -> "Delay":
+        # The only constructor: Delay defines no __init__, so returning an
+        # interned instance does not re-run any initialisation on it.
         if cls is Delay and type(cycles) is int \
                 and 0 <= cycles < _DELAY_CACHE_SIZE:
             return _DELAY_CACHE[cycles]
-        return super().__new__(cls)
-
-    def __init__(self, cycles: int) -> None:
         if cycles < 0:
             raise SimulationError(f"Delay must be non-negative, got {cycles}")
-        self.cycles = cycles
+        delay = super().__new__(cls)
+        delay.cycles = cycles
+        return delay
 
     def describe(self) -> str:
         return f"delay({self.cycles})"

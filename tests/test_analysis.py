@@ -94,12 +94,12 @@ def jitter(values):
 """
 
 DETERMINISM_GOOD = """\
-from repro.scenario.stream import derive_stream
+import heapq
 
-def jitter(values, seed):
-    stream = derive_stream(seed, "jitter")
+def stable_order(values, offset):
     order = sorted(set(values))
-    return [values[i] for i in range(len(order))], stream.random()
+    heapq.heapify(order)
+    return [values[i] + offset for i in range(len(order))]
 """
 
 
@@ -117,7 +117,7 @@ def test_determinism_positive(tmp_path):
 
 
 def test_determinism_negative(tmp_path):
-    assert lint_snippet(tmp_path, "src/repro/scenario/good.py",
+    assert lint_snippet(tmp_path, "src/repro/sim/good.py",
                         DETERMINISM_GOOD, rules=["determinism"]) == []
 
 
@@ -253,14 +253,15 @@ def test_cachekey_negative(tmp_path):
 
 
 def test_cachekey_targets_only_named_functions(tmp_path):
-    # Outside the targeted functions of spec.py the rule stays silent.
+    # Outside the targeted functions of experiments.py the rule stays
+    # silent.
     source = ("def describe(params):\n"
               "    return {k: v for k, v in params.items()}\n")
-    assert lint_snippet(tmp_path, "src/repro/scenario/spec.py", source,
+    assert lint_snippet(tmp_path, "src/repro/eval/experiments.py", source,
                         rules=["cache-key"]) == []
-    targeted = ("def context(params):\n"
+    targeted = ("def canonical_runtime_selection(params):\n"
                 "    return {k: v for k, v in params.items()}\n")
-    assert len(lint_snippet(tmp_path, "src/repro/scenario/spec.py",
+    assert len(lint_snippet(tmp_path, "src/repro/eval/experiments.py",
                             targeted, rules=["cache-key"])) == 1
 
 

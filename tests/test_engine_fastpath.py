@@ -91,6 +91,10 @@ def test_delay_interning_and_value_semantics():
     # Large delays fall outside the cache but still behave identically.
     big = Delay(10_000_000)
     assert big is not Delay(10_000_000)
+    assert Delay(5000).cycles == 5000
+    # __new__ is the only constructor, so an interned instance is never
+    # re-initialised by a second call.
+    assert "__init__" not in vars(Delay)
     assert big == Delay(10_000_000)
     assert Delay(5) == Delay(5)
     assert Delay(5) != Delay(6)

@@ -151,6 +151,31 @@ class TestArtifacts:
         text = json.dumps(encode(serial_runs))
         assert decode(json.loads(text)) == serial_runs
 
+    def test_unknown_field_fails_loudly(self, tmp_path, serial_runs):
+        # A StudyResult archived by an older release carries fields this
+        # release no longer declares (scenario, seeds, and seed on each
+        # sweep); decoding must name the type and the fields.
+        from repro.api import StudyResult, StudySweep
+
+        result = StudyResult(label="old", workloads=("jacobi",),
+                             runtimes=("phentos",), core_counts=(2,),
+                             quick=True, scale=1.0,
+                             sweeps=(StudySweep(2, tuple(serial_runs)),))
+        payload = encode(result)
+        payload["fields"]["scenario"] = None
+        payload["fields"]["seeds"] = encode(())
+        with pytest.raises(EvaluationError,
+                           match="'StudyResult' has no field.*scenario, "
+                                 "seeds"):
+            decode(payload)
+        payload["fields"]["sweeps"]["items"][0]["fields"]["seed"] = None
+        (tmp_path / "old.json").write_text(json.dumps(
+            {"artifact": "old", "metadata": {}, "payload": payload}),
+            encoding="utf-8")
+        with pytest.raises(EvaluationError,
+                           match="'StudySweep' has no field.*seed"):
+            ArtifactStore(tmp_path).load("old")
+
     def test_store_save_and_load(self, tmp_path, serial_runs):
         store = ArtifactStore(tmp_path)
         store.save("figure9", serial_runs, quick=True)
